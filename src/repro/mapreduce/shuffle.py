@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterable, Iterator
 from ..core.transfer import ChunkBuffer
 from ..fs.interface import FileSystem
 from ..fs import path as fspath
+from .job import Counters, TaskContext
 
 __all__ = [
     "hash_partitioner",
@@ -42,8 +43,44 @@ def hash_partitioner(key: Any, num_partitions: int) -> int:
     return int.from_bytes(digest, "big") % num_partitions
 
 
+#: Key types whose partition :class:`MapOutputCollector` memoises.  Exact
+#: types only: ``1``, ``True`` and ``1.0`` are equal dict keys but have
+#: different reprs, hence possibly different partitions.
+_MEMO_KEY_TYPES = frozenset((str, bytes, int))
+
+
+def _memoised_collect(
+    partitions: list[list[tuple[Any, Any]]], num_partitions: int
+) -> Callable[[Any, Any], None]:
+    """A ``collect`` for :func:`hash_partitioner` that hashes each key once.
+
+    The memo maps a key to its partition's list.  The closure references
+    the lists, not the collector, so dropping the collector frees the memo
+    by reference counting (a bound method stored on the instance would form
+    a cycle left to the cyclic collector).
+    """
+    memo: dict[Any, list[tuple[Any, Any]]] = {}
+
+    def collect(key: Any, value: Any) -> None:
+        if type(key) in _MEMO_KEY_TYPES:
+            bucket = memo.get(key)
+            if bucket is None:
+                bucket = memo[key] = partitions[hash_partitioner(key, num_partitions)]
+        else:
+            bucket = partitions[hash_partitioner(key, num_partitions)]
+        bucket.append((key, value))
+
+    return collect
+
+
 class MapOutputCollector:
     """Collects one map task's output, split by reduce partition.
+
+    With the default :func:`hash_partitioner`, each key of an exact
+    ``str``, ``bytes`` or ``int`` type is hashed once per collector: the
+    key's partition list is memoised, and the memo is dropped with the
+    collector.  Other keys, and every key under a custom partitioner, go
+    through the partitioner on every record.
 
     An optional combiner is applied when the collector is sealed, reducing
     the volume handed to the shuffle exactly like Hadoop's map-side combine.
@@ -64,35 +101,53 @@ class MapOutputCollector:
         self._partitions: list[list[tuple[Any, Any]]] = [
             [] for _ in range(num_partitions)
         ]
-        self.records_collected = 0
+        if partitioner is hash_partitioner:
+            self.collect = _memoised_collect(self._partitions, num_partitions)
+
+    @property
+    def records_collected(self) -> int:
+        """Number of pairs collected so far."""
+        return sum(map(len, self._partitions))
 
     def collect(self, key: Any, value: Any) -> None:
         """Add one intermediate pair."""
         partition = self._partitioner(key, self._num_partitions)
         self._partitions[partition].append((key, value))
-        self.records_collected += 1
 
     def _apply_combiner(
-        self, pairs: list[tuple[Any, Any]]
+        self, pairs: list[tuple[Any, Any]], context: TaskContext
     ) -> list[tuple[Any, Any]]:
         if self._combiner is None or not pairs:
             return pairs
         combined: list[tuple[Any, Any]] = []
-
-        class _CombineContext:
-            def emit(self, key: Any, value: Any) -> None:  # noqa: D401
-                combined.append((key, value))
-
-        context = _CombineContext()
+        combine_context = TaskContext(
+            job_conf=context.job_conf,
+            task_id=context.task_id,
+            emit=lambda key, value: combined.append((key, value)),
+            counters=context.counters,
+        )
         for key, values in group_by_key(pairs):
-            self._combiner(key, values, context)
+            self._combiner(key, values, combine_context)
         return combined
 
-    def partitions(self) -> list[list[tuple[Any, Any]]]:
-        """Finalised per-partition outputs (combiner applied, sorted by key)."""
+    def partitions(
+        self, context: TaskContext | None = None
+    ) -> list[list[tuple[Any, Any]]]:
+        """Finalised per-partition outputs (combiner applied, sorted by key).
+
+        The combiner runs with a :class:`TaskContext` that shares
+        ``context``'s job configuration, task id and counters (a map task
+        passes its own context); its ``emit`` collects the combined pairs.
+        Without a ``context`` (a standalone collector) the combiner sees no
+        job configuration and counters private to this call.
+        """
+        if context is None:
+            context = TaskContext(
+                job_conf=None, task_id="", emit=self.collect, counters=Counters()
+            )
         result = []
         for pairs in self._partitions:
-            combined = self._apply_combiner(pairs)
+            combined = self._apply_combiner(pairs, context)
             result.append(sorted(combined, key=lambda kv: repr(kv[0])))
         return result
 
@@ -111,12 +166,9 @@ def merge_map_outputs(
 def group_by_key(pairs: Iterable[tuple[Any, Any]]) -> Iterator[tuple[Any, list[Any]]]:
     """Group sorted (or unsorted) pairs by key, preserving value order per key."""
     grouped: dict[Any, list[Any]] = defaultdict(list)
-    order: list[Any] = []
     for key, value in pairs:
-        if key not in grouped:
-            order.append(key)
         grouped[key].append(value)
-    for key in sorted(order, key=repr):
+    for key in sorted(grouped, key=repr):
         yield key, grouped[key]
 
 

@@ -152,11 +152,13 @@ class TaskTracker:
             for key, value in reader_factory(fs, split):
                 job.mapper(key, value, context)
                 records_in += 1
-                counters.increment("map_input_records")
-            counters.increment("map_output_records", collector.records_collected)
+            records_out = collector.records_collected
+            if records_in:
+                counters.increment("map_input_records", records_in)
+            counters.increment("map_output_records", records_out)
             output_path: str | None = None
             discarded = False
-            partitions = collector.partitions()
+            partitions = collector.partitions(context)
             if map_only:
                 partitions_out: list[list[tuple[Any, Any]]] | None = None
                 if commit_check is None or commit_check():
@@ -189,7 +191,7 @@ class TaskTracker:
                 kind="map",
                 duration=duration,
                 records_in=records_in,
-                records_out=collector.records_collected,
+                records_out=records_out,
                 locality=locality,
                 output_path=output_path,
                 map_output=partitions_out,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -56,6 +58,55 @@ class TestCounters:
         assert counters.get("b") == 1
         assert counters.get("missing") == 0
         assert counters.as_dict() == {"a": 15, "b": 1}
+
+    def test_concurrent_increments_are_exact_under_reads_and_merges(self):
+        writers, per_writer, merges = 8, 40_000, 500
+        counters = Counters()
+        one = Counters()
+        one.increment("merged")
+        sink = Counters()
+        start = threading.Barrier(writers + 3)
+        writing = threading.Event()
+        seen: list[int] = []
+
+        def write() -> None:
+            start.wait()
+            for _ in range(per_writer):
+                counters.increment("n")
+
+        def read() -> None:
+            start.wait()
+            while writing.is_set():
+                seen.append(counters.get("n"))
+                seen.append(counters.as_dict().get("n", 0))
+                sink.merge(counters)
+
+        def merge() -> None:
+            start.wait()
+            for _ in range(merges):
+                counters.merge(one)
+
+        producers = [threading.Thread(target=write) for _ in range(writers)]
+        producers.append(threading.Thread(target=merge))
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writing.set()
+        try:
+            for thread in producers + readers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=60)
+        finally:
+            writing.clear()
+            sys.setswitchinterval(interval)
+        for thread in readers:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in producers + readers)
+        assert counters.get("n") == writers * per_writer
+        assert counters.as_dict() == {"n": writers * per_writer, "merged": merges}
+        assert seen and all(0 <= value <= writers * per_writer for value in seen)
+        assert sink.get("n") > 0
 
 
 class TestScheduler:
@@ -160,6 +211,55 @@ class TestEndToEndJobs:
                 produced[word] = int(count)
         assert produced == reference
         assert result.counter("map_input_records") == 3000
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_wordcount_job_counters_are_exact(self, bsfs, parallel):
+        path = self.prepare_input(bsfs)
+        text = bsfs.read_file(path).decode()
+        words = sum(len(line.split()) for line in text.splitlines())
+        jobtracker = make_cluster(bsfs, slots_per_tracker=2, parallel=parallel)
+        job = make_wordcount_job(
+            [path], output_dir="/wc-counters", num_reduce_tasks=2, split_size=8 * KB
+        )
+        result = jobtracker.run(job)
+        assert result.succeeded
+        assert result.map_tasks > 1
+        assert result.counter("map_input_records") == len(text.splitlines()) == 3000
+        assert result.counter("map_output_records") == words
+        assert result.counter("wordcount.words") == words
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_combiner_counters_reach_the_job(self, any_fs, spill):
+        seen: list[tuple[str, str]] = []
+
+        def counting_combiner(key, values, context):
+            context.counters.increment("combine.input", len(values))
+            seen.append((context.job_conf.name, context.task_id))
+            context.emit(key, sum(values))
+
+        path = self.prepare_input(any_fs)
+        job = make_wordcount_job(
+            [path], output_dir="/wc-combine", num_reduce_tasks=3, split_size=8 * KB
+        )
+        job = replace(
+            job,
+            combiner=counting_combiner,
+            conf=replace(job.conf, spill_to_fs=spill),
+        )
+        result = make_cluster(any_fs, slots_per_tracker=2).run(job)
+        assert result.succeeded
+        # Every map output record passes through the combiner exactly once.
+        assert result.counter("combine.input") == result.counter("map_output_records") > 0
+        assert {name for name, _ in seen} == {"wordcount"}
+        assert {task for _, task in seen} == {
+            f"map-{index:05d}" for index in range(result.map_tasks)
+        }
+        produced = Counter()
+        for part in result.output_paths:
+            for line in any_fs.read_file(part).decode().splitlines():
+                word, count = line.split("\t")
+                produced[word] += int(count)
+        assert produced == Counter(any_fs.read_file(path).decode().split())
 
     def test_distributed_grep_counts_matches(self, any_fs):
         path = self.prepare_input(any_fs)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fs.errors import UnsupportedOperationError
+from repro.mapreduce.job import Counters, Job, JobConf
 from repro.mapreduce.shuffle import (
     MapOutputCollector,
     SingleFileOutputFormat,
@@ -15,6 +18,25 @@ from repro.mapreduce.shuffle import (
     hash_partitioner,
     merge_map_outputs,
 )
+from repro.mapreduce.splitter import InputSplit
+from repro.mapreduce.tasktracker import TaskTracker
+
+#: Keys of every kind a mapper may emit, including the trio ``1``, ``True``
+#: and ``1.0``: equal as dict keys, distinct reprs.
+MIXED_KEYS = st.one_of(
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.integers(-1000, 1000),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.tuples(st.text(max_size=4), st.integers(0, 9)),
+    st.none(),
+    st.sampled_from([1, True, 1.0, 0, False, 0.0]),
+)
+
+
+def _summing_combiner(key, values, context):
+    context.emit(key, sum(values))
 
 
 class TestHashPartitioner:
@@ -69,6 +91,113 @@ class TestMapOutputCollector:
     def test_invalid_partition_count(self):
         with pytest.raises(ValueError):
             MapOutputCollector(0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(MIXED_KEYS, max_size=60),
+        partitions=st.integers(1, 7),
+        combine=st.booleans(),
+    )
+    # 1, True and 1.0 land in three different partitions out of five.
+    @example(keys=[1, True, 1.0] * 3, partitions=5, combine=False)
+    @example(keys=[1, True, 1.0] * 3, partitions=5, combine=True)
+    def test_property_memo_matches_partitioner_and_reference(
+        self, keys, partitions, combine
+    ):
+        combiner = _summing_combiner if combine else None
+        collector = MapOutputCollector(partitions, combiner=combiner)
+        # A custom partitioner disables the memo: the reference hashes every record.
+        reference = MapOutputCollector(
+            partitions,
+            partitioner=lambda key, n: hash_partitioner(key, n),
+            combiner=combiner,
+        )
+        for value, key in enumerate(keys):
+            collector.collect(key, value)
+            reference.collect(key, value)
+        assert collector.records_collected == len(keys)
+        for index, pairs in enumerate(collector._partitions):
+            for key, _value in pairs:
+                assert hash_partitioner(key, partitions) == index
+        assert collector.partitions() == reference.partitions()
+
+    def test_custom_partitioner_called_for_every_record(self):
+        calls = []
+
+        def partitioner(key, n):
+            calls.append(key)
+            return 0
+
+        collector = MapOutputCollector(3, partitioner=partitioner)
+        for _ in range(5):
+            collector.collect("same", 1)
+        assert calls == ["same"] * 5
+
+    def test_standalone_combiner_may_increment_counters(self):
+        def counting_combiner(key, values, context):
+            context.counters.increment("combine.groups")
+            context.emit(key, sum(values))
+
+        collector = MapOutputCollector(2, combiner=counting_combiner)
+        for key in ["a", "b", "a"]:
+            collector.collect(key, 1)
+        # A standalone collector: the combiner's counters are private.
+        flattened = [pair for part in collector.partitions() for pair in part]
+        assert sorted(flattened) == [("a", 2), ("b", 1)]
+
+
+def _repeated_words_mapper(key, value, context):
+    for word in value.split():
+        context.emit(word, 1)
+        context.emit(word.encode(), 1)
+        context.emit(len(word), 1)
+
+
+class TestMapRecordPathOpCount:
+    """The default partitioner hashes each exact-typed key once per task."""
+
+    def run_map_task(self, monkeypatch, mapper, lines):
+        hashes = []
+        real_blake2b = hashlib.blake2b
+
+        def counting_blake2b(data, **kwargs):
+            hashes.append(data)
+            return real_blake2b(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", counting_blake2b)
+        job = Job(conf=JobConf(name="op-count", num_reduce_tasks=4), mapper=mapper)
+        result = TaskTracker("node-0").run_map_task(
+            job,
+            None,
+            InputSplit(0, None, 0, 0),
+            num_partitions=4,
+            reader_factory=lambda fs, split: enumerate(lines),
+            counters=Counters(),
+        )
+        monkeypatch.undo()
+        return result, hashes
+
+    def test_one_hash_per_distinct_key(self, monkeypatch):
+        lines = ["alpha beta gamma alpha", "beta beta delta", "gamma alpha"] * 200
+        result, hashes = self.run_map_task(monkeypatch, _repeated_words_mapper, lines)
+        words = {word for line in lines for word in line.split()}
+        distinct = (
+            {("str", w) for w in words}
+            | {("bytes", w) for w in words}
+            | {("int", len(w)) for w in words}
+        )
+        assert result.records_out == 3 * sum(len(line.split()) for line in lines)
+        assert len(hashes) == len(distinct)
+        assert len(set(hashes)) == len(hashes)
+
+    def test_non_memoised_types_hash_every_record(self, monkeypatch):
+        def bool_mapper(key, value, context):
+            context.emit(True, value)
+            context.emit(1.0, value)
+
+        result, hashes = self.run_map_task(monkeypatch, bool_mapper, ["x"] * 50)
+        assert result.records_out == 100
+        assert len(hashes) == 100
 
 
 class TestMergeAndGroup:
