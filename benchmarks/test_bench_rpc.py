@@ -4,10 +4,11 @@ The paper's deployment pays a real RPC for every page transfer and
 heartbeat; this benchmark prices that layer.  Three RPC scenarios measure
 round-trip rate (loopback codec path, TCP, and TCP with pipelined
 concurrent callers on one connection); two bulk scenarios price the
-page-sized wire path on protocol v1 versus the v2 scatter-gather
-zero-copy path (MB/s, with an in-bench floor: v2 must at least double
-v1); two metadata scenarios price the small-op hot path with and without
-the v2 coalescing envelope (batched must clear 1.5x unbatched); and a
+page-sized wire path with out-of-band export turned off (the copy path)
+versus the scatter-gather zero-copy path (MB/s, with an in-bench floor:
+zero-copy must at least double the copy path); two metadata scenarios
+price the small-op hot path with and without the coalescing envelope
+(batched must clear 1.5x unbatched); and a
 final scenario measures the availability story end to end: how quickly a
 killed provider is detected by missed heartbeats and its pages are
 re-replicated until a read returns byte-identical data.
@@ -15,7 +16,7 @@ re-replicated until a read returns byte-identical data.
 The bulk and metadata pairs are measured interleaved, best of three
 passes per side: alternating the two sides cancels the slow drift of a
 shared host, and best-of filters scheduling hiccups, so the asserted
-ratios compare the two protocols rather than two moments in time.
+ratios compare the two wire paths rather than two moments in time.
 
 Every row reports ``ops_per_s`` (higher is better) so the perf gate can
 compare scenarios uniformly; for the detect-recover row the "op" is one
@@ -42,8 +43,6 @@ from repro.net import (
     LoopbackTransport,
     NetworkFaultPlan,
     NodeServer,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
     RecoveryCoordinator,
     RetryPolicy,
     RpcServer,
@@ -52,18 +51,12 @@ from repro.net import (
     connect_metadata,
     loopback_provider_stub,
 )
-from repro.net.framing import (
-    FrameDecoder,
-    encode_frame,
-    encode_frame_v2,
-    recv_frame,
-)
+from repro.net.framing import ScatterParser, encode_frame_v2, recv_frame
 from repro.net.messages import (
+    DEFAULT_OOB_THRESHOLD,
     Request,
     decode_message,
-    decode_message_v2,
     encode_message,
-    encode_message_v2,
 )
 from repro.net.tcp import _tune_socket
 
@@ -129,15 +122,16 @@ def _bench_tcp_pipelined(calls: int, workers: int = 8) -> float:
             return time.perf_counter() - started
 
 
-def _bench_wire_flood(calls: int, protocol: int) -> float:
+def _bench_wire_flood(calls: int, *, zero_copy: bool) -> float:
     """One-way flood of 1 MiB request frames over a real TCP socket.
 
-    Prices each protocol generation's wire path on its own terms.  The
-    v1 sender pickles the request and joins it behind the frame prefix
-    (one staging copy per megabyte) and the receiver chunk-feeds a
-    :class:`FrameDecoder` — the receive discipline every v1 endpoint
-    ships with.  The v2 sender hands the pickle head and the page buffer
-    to one scatter-gather ``sendmsg`` and the receiver takes exact-framed
+    Prices the two ways a page can cross the wire.  The copy path turns
+    out-of-band export off (an ``oob_threshold`` above the page size),
+    so the page is pickled into the message head; the sender joins the
+    frame into one buffer for ``sendall`` (one staging copy per
+    megabyte) and the receiver chunk-feeds a :class:`ScatterParser`.
+    The zero-copy path hands the pickle head and the page buffer to one
+    scatter-gather ``sendmsg`` and the receiver takes exact-framed
     ``recv_frame`` reads, so each bulk segment lands in a single
     kernel-filled buffer that the decoder adopts without copying.
     """
@@ -147,27 +141,24 @@ def _bench_wire_flood(calls: int, protocol: int) -> float:
     out = socket.create_connection(listener.getsockname())
     inbound, _ = listener.accept()
     listener.close()
-    if protocol >= PROTOCOL_V2:
-        # The v2 transport tunes its sockets; v1 keeps the OS defaults.
-        _tune_socket(out)
-        _tune_socket(inbound)
+    _tune_socket(out)
+    _tune_socket(inbound)
+    oob_threshold = DEFAULT_OOB_THRESHOLD if zero_copy else len(BULK_PAYLOAD) + 1
 
     def receive() -> None:
         seen = 0
-        if protocol >= PROTOCOL_V2:
+        if zero_copy:
             while seen < calls:
                 frame = recv_frame(inbound)
-                message = decode_message_v2(
-                    frame.segments[0], list(frame.segments[1:])
-                )
+                message = decode_message(frame.segments[0], frame.segments[1:])
                 assert len(message.args[0]) == len(BULK_PAYLOAD)
                 seen += 1
         else:
-            decoder = FrameDecoder()
+            parser = ScatterParser()
             while seen < calls:
                 chunk = inbound.recv(256 * 1024)
-                for payload in decoder.feed(chunk):
-                    message = decode_message(payload)
+                for frame in parser.feed(chunk):
+                    message = decode_message(frame.segments[0], frame.segments[1:])
                     assert len(message.args[0]) == len(BULK_PAYLOAD)
                     seen += 1
 
@@ -177,23 +168,21 @@ def _bench_wire_flood(calls: int, protocol: int) -> float:
     try:
         for i in range(calls):
             request = Request(i, "pages", "put", (BULK_PAYLOAD,), {})
-            if protocol >= PROTOCOL_V2:
-                head, buffers = encode_message_v2(request)
-                views = [
-                    memoryview(part)
-                    for part in encode_frame_v2([head, *buffers])
-                ]
-                while views:
-                    sent = out.sendmsg(views)
-                    while sent:
-                        if sent >= views[0].nbytes:
-                            sent -= views[0].nbytes
-                            views.pop(0)
-                        else:
-                            views[0] = views[0][sent:]
-                            sent = 0
-            else:
-                out.sendall(encode_frame(encode_message(request)))
+            head, buffers = encode_message(request, oob_threshold=oob_threshold)
+            parts = encode_frame_v2([head, *buffers])
+            if not zero_copy:
+                out.sendall(b"".join(parts))
+                continue
+            views = [memoryview(part) for part in parts]
+            while views:
+                sent = out.sendmsg(views)
+                while sent:
+                    if sent >= views[0].nbytes:
+                        sent -= views[0].nbytes
+                        views.pop(0)
+                    else:
+                        views[0] = views[0][sent:]
+                        sent = 0
         receiver.join()
         return time.perf_counter() - started
     finally:
@@ -209,9 +198,7 @@ def _bench_tcp_metadata(ops: int, *, batching: bool, workers: int = 32) -> float
     (``pool_size=1``), where the group-commit flusher can collapse a
     whole wave of puts into a single frame.
     """
-    config = ClusterConfig(
-        wire_protocol=PROTOCOL_V2, metadata_batching=batching, pool_size=1
-    )
+    config = ClusterConfig(metadata_batching=batching, pool_size=1)
     backend = MetadataProvider(0)
     server = NodeServer(backend, host="127.0.0.1", port=0, config=config)
     host, port = server.start()
@@ -315,14 +302,15 @@ def _run(scale):
             }
         )
     bulk_calls = 192 if scale.paper else 48
-    bulk_elapsed = {"tcp-bulk-v1": float("inf"), "tcp-bulk-v2": float("inf")}
+    bulk_elapsed = {"tcp-bulk-copy": float("inf"), "tcp-bulk-v2": float("inf")}
     for _ in range(3):  # interleaved best-of-3: see module docstring
-        for scenario, protocol in (
-            ("tcp-bulk-v1", PROTOCOL_V1),
-            ("tcp-bulk-v2", PROTOCOL_V2),
+        for scenario, zero_copy in (
+            ("tcp-bulk-copy", False),
+            ("tcp-bulk-v2", True),
         ):
             bulk_elapsed[scenario] = min(
-                bulk_elapsed[scenario], _bench_wire_flood(bulk_calls, protocol)
+                bulk_elapsed[scenario],
+                _bench_wire_flood(bulk_calls, zero_copy=zero_copy),
             )
     for scenario, elapsed in bulk_elapsed.items():
         rates[scenario] = bulk_calls / elapsed
@@ -383,8 +371,8 @@ def test_bench_rpc(benchmark, scale):
     report.print()
     # The loopback path skips sockets entirely: it must beat real TCP.
     assert rates["loopback-rpc"] > rates["tcp-rpc"]
-    # The v2 scatter-gather path must at least double v1 bulk throughput.
-    assert rates["tcp-bulk-v2"] >= 2.0 * rates["tcp-bulk-v1"]
+    # The scatter-gather zero-copy path must at least double the copy path.
+    assert rates["tcp-bulk-v2"] >= 2.0 * rates["tcp-bulk-copy"]
     # Coalescing small metadata ops must clear 1.5x the unbatched rate.
     assert rates["tcp-batched-metadata"] >= 1.5 * rates["tcp-metadata-unbatched"]
     # Detection plus recovery completes in seconds, not minutes.

@@ -93,14 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         default=5,
         help="every n-th heartbeat carries a full block report",
     )
-    parser.add_argument(
-        "--wire-protocol",
-        type=int,
-        choices=(1, 2),
-        default=None,
-        help="wire protocol to serve (default: REPRO_WIRE_PROTOCOL or 2; "
-        "v2 servers still accept v1 clients)",
-    )
     args = parser.parse_args(argv)
 
     if args.kind == "provider":
@@ -113,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     config = ClusterConfig(
         heartbeat_interval=args.heartbeat_interval,
         block_report_every=args.block_report_every,
-        wire_protocol=args.wire_protocol,
     )
     control = None
     if args.control is not None:

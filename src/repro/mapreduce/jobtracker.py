@@ -1112,19 +1112,21 @@ class JobTracker:
                 shuffle_service.cleanup()
             if shuffle_transfer is not None:
                 shuffle_transfer.close()
-            if liveness_monitor is not None:
-                liveness_monitor.stop()
-            for pump in heartbeat_pumps:
-                pump.stop()
             if tracker_liveness is not None and fault_plan is not None:
                 # A short job can finish before the detector's deadline
                 # passes; wait out the missed-heartbeat window for every
                 # tracker the plan actually killed so the blacklist is
                 # deterministic — the detection still happens through the
-                # registry, never synchronously.
+                # registry, never synchronously.  The pumps keep beating
+                # until this wait is over: a live tracker silenced first
+                # would be declared dead alongside the killed one.
                 for tracker in self.trackers:
                     if fault_plan.tracker_is_dead(tracker.host):
                         tracker_liveness.await_death(tracker.host, timeout=2.0)
+            if liveness_monitor is not None:
+                liveness_monitor.stop()
+            for pump in heartbeat_pumps:
+                pump.stop()
 
         # Results are read only now, after every pool joined: race-losing
         # attempts finishing during pool shutdown are included too.

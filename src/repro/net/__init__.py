@@ -5,11 +5,10 @@ objects; this package puts them behind a message protocol so a
 deployment can span processes without changing any caller:
 
 * :mod:`~repro.net.framing` / :mod:`~repro.net.messages` — the wire
-  formats: length-prefixed frames carrying pickled request/response
-  messages with correlation ids (protocol v1), and the scatter-gather
-  v2 layout whose segment table lets bulk payloads travel out-of-band,
-  small ops coalesce into batch frames, and fat segments compress above
-  a threshold.
+  format: length-prefixed scatter-gather frames carrying pickled
+  request/response messages with correlation ids.  A frame's segment
+  table lets bulk payloads travel out-of-band, small ops coalesce into
+  batch frames, and fat segments compress above a threshold.
 * :mod:`~repro.net.transport` / :mod:`~repro.net.tcp` — client channels:
   an in-process loopback (full codec fidelity, deterministic) and a real
   TCP transport with connection pooling and multiplexing, both with
@@ -57,24 +56,13 @@ from .faults import NetworkFaultPlan
 from .framing import (
     DEFAULT_MAX_FRAME,
     FLAG_BATCH,
-    PROTOCOL_V1,
     PROTOCOL_V2,
     Frame,
-    FrameDecoder,
     ScatterParser,
-    encode_frame,
     encode_frame_v2,
-    register_segment_codec,
 )
 from .liveness import HeartbeatPump, LivenessMonitor, LivenessRegistry
-from .messages import (
-    Request,
-    Response,
-    decode_message,
-    decode_message_v2,
-    encode_message,
-    encode_message_v2,
-)
+from .messages import Request, Response, decode_message, encode_message
 from .service import ServiceRegistry
 from .stubs import (
     RemoteDataNode,
@@ -82,7 +70,7 @@ from .stubs import (
     RemoteJobService,
     RemoteMetadataProvider,
 )
-from .tcp import WIRE_SERVICE, RpcServer, TcpTransport
+from .tcp import RpcServer, TcpTransport
 from .transport import LoopbackTransport, RetryPolicy, Transport, WireConfig
 
 __all__ = [
@@ -98,22 +86,16 @@ __all__ = [
     "RemoteCallError",
     "UnknownServiceError",
     # wire format
-    "encode_frame",
     "encode_frame_v2",
-    "FrameDecoder",
     "ScatterParser",
     "Frame",
     "FLAG_BATCH",
-    "PROTOCOL_V1",
     "PROTOCOL_V2",
-    "register_segment_codec",
     "DEFAULT_MAX_FRAME",
     "Request",
     "Response",
     "encode_message",
     "decode_message",
-    "encode_message_v2",
-    "decode_message_v2",
     # transports and services
     "Transport",
     "LoopbackTransport",
@@ -122,7 +104,6 @@ __all__ = [
     "RetryPolicy",
     "ServiceRegistry",
     "RpcServer",
-    "WIRE_SERVICE",
     # stubs
     "RemoteDataProvider",
     "RemoteDataNode",

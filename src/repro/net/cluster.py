@@ -84,13 +84,8 @@ class ClusterConfig:
     rpc_retries: int = 2
     #: TCP connections pooled per peer.
     pool_size: int = 2
-    #: Preferred wire protocol (``None`` = honour ``REPRO_WIRE_PROTOCOL``,
-    #: defaulting to v2; negotiation still downgrades per connection).
-    wire_protocol: int | None = None
     #: Coalesce sub-threshold metadata ops into batch frames.
     metadata_batching: bool = True
-    #: Extra seconds a lone queued request waits for batch company.
-    batch_window: float = 0.0
     #: Compress wire segments of at least this many bytes (None = never).
     compress_threshold: int | None = None
 
@@ -107,10 +102,6 @@ class ClusterConfig:
             raise ValueError("rpc_retries must be non-negative")
         if self.pool_size < 1:
             raise ValueError("pool_size must be at least 1")
-        if self.wire_protocol not in (None, 1, 2):
-            raise ValueError("wire_protocol must be 1, 2 or None")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
         if self.compress_threshold is not None and self.compress_threshold < 1:
             raise ValueError("compress_threshold must be positive")
 
@@ -119,14 +110,8 @@ class ClusterConfig:
         return RetryPolicy(retries=self.rpc_retries)
 
     def wire_config(self) -> WireConfig:
-        """The wire-protocol knobs of this deployment."""
-        overrides: dict[str, Any] = {
-            "batch_window": self.batch_window,
-            "compress_threshold": self.compress_threshold,
-        }
-        if self.wire_protocol is not None:
-            overrides["protocol"] = self.wire_protocol
-        return WireConfig.from_env(**overrides)
+        """The wire knobs of this deployment."""
+        return WireConfig(compress_threshold=self.compress_threshold)
 
     def make_registry(
         self, *, clock: Callable[[], float] | None = None
@@ -551,8 +536,7 @@ def connect_metadata(
 
     The metadata channel carries uniformly tiny, high-rate ops (lookup,
     publish, ticket assignment), so it is where small-op batching pays:
-    ``config.metadata_batching`` turns coalescing on for this transport
-    (a no-op when negotiation settles on protocol v1).
+    ``config.metadata_batching`` turns coalescing on for this transport.
     """
     config = config if config is not None else ClusterConfig()
     transport = TcpTransport(

@@ -1,20 +1,12 @@
-"""Frame codecs: the wire formats of the service layer.
+"""Frame codec: the wire format of the service layer.
 
-Two frame layouts share one stream, distinguished by the version byte of
-a common fixed header::
+Every frame starts with a fixed header followed by a *segment table*
+and the segments themselves::
 
     +-------+---------+------------------+-----------------+
     | magic | version | payload length   | payload bytes   |
     | 1 B   | 1 B     | 4 B big-endian   | <length> bytes  |
     +-------+---------+------------------+-----------------+
-
-**Protocol v1** (:data:`PROTOCOL_V1`) is the original format: the whole
-payload is one opaque blob (a pickled message).  It follows the shuffle
-segment framing idiom but adds the magic byte and version so a stream
-that is not an RPC stream at all is rejected at the first frame.
-
-**Protocol v2** (:data:`PROTOCOL_V2`) structures the payload as a
-*segment table* followed by the segments themselves::
 
     payload := flags(1B)  nseg(2B BE)
                nseg x [ stored_length(4B BE)  seg_flags(1B) ]
@@ -23,24 +15,31 @@ that is not an RPC stream at all is rejected at the first frame.
     frame flags:   bit 0 = FLAG_BATCH — every segment is one complete
                    encoded message (small-op coalescing envelope)
     segment flags: bits 0-3 = codec id of a compressed segment
-                   (0 = raw, 1 = zlib; see register_segment_codec)
+                   (0 = raw, 1 = zlib)
 
-v2 exists for the data path: a message's bulk payloads (pages, blocks)
-travel as their *own* segments, so the sender can hand the original
-buffers to a scatter-gather write (``sendmsg`` / ``writelines``) without
-ever concatenating them into one heap-allocated frame, and the receiver
-can place each bulk segment into an exactly-sized buffer instead of
-re-slicing a grow-and-compact accumulation buffer.
+The magic byte rejects a stream that is not an RPC stream at all at the
+first frame; the version byte must be :data:`PROTOCOL_V2`.  A message's
+bulk payloads (pages, blocks) travel as their *own* segments, so the
+sender can hand the original buffers to a scatter-gather write
+(``sendmsg`` / ``writelines``) without ever concatenating them into one
+heap-allocated frame, and the receiver can place each bulk segment into
+an exactly-sized buffer instead of re-slicing a grow-and-compact
+accumulation buffer.
 
-:class:`ScatterParser` is the incremental decoder both transports share.
-It accepts arbitrary chunk boundaries via :meth:`ScatterParser.feed`
-(small data is absorbed into an offset-drained buffer — amortized O(1)
-per byte, no per-frame prefix deletion) and, while a bulk segment is
-pending, exposes the exact remaining region of that segment's buffer via
-:meth:`ScatterParser.wants_direct` so the caller can ``recv_into`` it
-with no intermediate copy.  :class:`FrameDecoder` is the thin historical
-wrapper over it (feed chunks, get payloads) that tests and the loopback
-transport use.
+Two receive paths exist, one per I/O model, and both validate through
+the same header, segment-table and decoded-size checks:
+
+* :class:`ScatterParser` — the incremental decoder of the asyncio
+  server.  It accepts arbitrary chunk boundaries via
+  :meth:`ScatterParser.feed` (small data is absorbed into an
+  offset-drained buffer — amortized O(1) per byte, no per-frame prefix
+  deletion) and, while a bulk segment is pending, exposes the exact
+  remaining region of that segment's buffer via
+  :meth:`ScatterParser.wants_direct` so the caller can ``recv_into`` it
+  with no intermediate copy.
+* :func:`recv_frame` — exact-framed blocking reads for the threaded
+  client: the header announces the frame length and the table every
+  segment size, so each bulk segment is one ``MSG_WAITALL`` read.
 """
 
 from __future__ import annotations
@@ -48,117 +47,53 @@ from __future__ import annotations
 import socket
 import struct
 import zlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import FrameError, FrameTooLargeError, TruncatedFrameError
 
 __all__ = [
     "MAGIC",
-    "PROTOCOL_VERSION",
-    "PROTOCOL_V1",
     "PROTOCOL_V2",
     "HEADER",
     "V2_META",
     "V2_SEGMENT",
     "FLAG_BATCH",
     "DEFAULT_MAX_FRAME",
-    "encode_frame",
     "encode_frame_v2",
-    "register_segment_codec",
     "recv_frame",
     "Frame",
     "ScatterParser",
-    "FrameDecoder",
 ]
 
 #: First byte of every frame; anything else on the stream is garbage.
 MAGIC = 0xB5
-#: The original, single-blob wire protocol.
-PROTOCOL_V1 = 1
-#: The scatter-gather wire protocol (segment table + out-of-band bulk).
+#: The version byte of every frame (the scatter-gather wire protocol).
 PROTOCOL_V2 = 2
-#: Historical alias — the protocol every peer is guaranteed to speak.
-PROTOCOL_VERSION = PROTOCOL_V1
 #: Frame header: magic byte, protocol version, payload length.
 HEADER = struct.Struct(">BBI")
-#: v2 payload prelude: frame flags, segment count.
+#: Payload prelude: frame flags, segment count.
 V2_META = struct.Struct(">BH")
-#: One v2 segment-table entry: stored length, segment flags.
+#: One segment-table entry: stored length, segment flags.
 V2_SEGMENT = struct.Struct(">IB")
-#: v2 frame flag: every segment is one complete encoded message.
+#: Frame flag: every segment is one complete encoded message.
 FLAG_BATCH = 0x01
 #: Low nibble of a segment's flags: codec id (0 = uncompressed).
 SEG_CODEC_MASK = 0x0F
+#: Codec id of a zlib-compressed segment.
+CODEC_ZLIB = 1
 #: Default ceiling on a frame's payload (pages are <= a few MiB; 64 MiB
 #: leaves room for whole-block transfers plus pickling overhead).
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
-#: Ceiling on a v2 frame's segment count (sanity bound on the table).
+#: Ceiling on a frame's segment count (sanity bound on the table).
 MAX_SEGMENTS = 4096
 #: Segments at least this large are received straight into an
 #: exactly-sized buffer instead of through the chunk accumulation path.
 DIRECT_CUTOFF = 64 * 1024
-
-
-# -- segment codecs --------------------------------------------------------------------
-
-
-def _zlib_compress(data) -> bytes:
-    # Level 1: the wire codec trades ratio for speed — threshold
-    # compression exists to win on fat, compressible payloads, not to
-    # stall the event loop grinding incompressible pages.
-    return zlib.compress(data, 1)
-
-
-def _zlib_decompress(data, limit: int) -> bytes:
-    decomp = zlib.decompressobj()
-    try:
-        out = decomp.decompress(data, limit + 1)
-    except zlib.error as exc:
-        raise FrameError(f"corrupt compressed segment: {exc!r}") from exc
-    if len(out) > limit or not decomp.eof:
-        raise FrameError(
-            f"compressed segment inflates past the {limit}-byte frame limit"
-        )
-    return out
-
-
-#: codec id -> (name, compress(data) -> bytes, decompress(data, limit) -> bytes)
-_SEGMENT_CODECS: dict[int, tuple[str, Callable, Callable]] = {
-    1: ("zlib", _zlib_compress, _zlib_decompress),
-}
-_CODEC_IDS: dict[str, int] = {"zlib": 1}
-
-
-def register_segment_codec(
-    code: int,
-    name: str,
-    compress: Callable[[bytes], bytes],
-    decompress: Callable[[bytes, int], bytes],
-) -> None:
-    """Register a pluggable segment codec under ``code`` (1..15).
-
-    ``decompress(data, limit)`` must reject output above ``limit`` bytes
-    (decompression-bomb guard) by raising :class:`FrameError`.
-    """
-    if not 1 <= code <= SEG_CODEC_MASK:
-        raise ValueError(f"codec id must be 1..{SEG_CODEC_MASK}, got {code}")
-    _SEGMENT_CODECS[code] = (name, compress, decompress)
-    _CODEC_IDS[name] = code
-
-
-def codec_names() -> tuple[str, ...]:
-    """Names of every registered segment codec (negotiation payload)."""
-    return tuple(sorted(_CODEC_IDS))
+#: Smallest legal payload: the prelude plus one table entry.
+_MIN_PAYLOAD = V2_META.size + V2_SEGMENT.size
 
 
 # -- encoding --------------------------------------------------------------------------
-
-
-def encode_frame(payload: bytes, *, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
-    """Wrap ``payload`` into one v1 wire frame."""
-    if len(payload) > max_frame:
-        raise FrameTooLargeError(len(payload), max_frame)
-    return HEADER.pack(MAGIC, PROTOCOL_V1, len(payload)) + payload
 
 
 def _nbytes(segment) -> int:
@@ -171,9 +106,8 @@ def encode_frame_v2(
     flags: int = 0,
     max_frame: int = DEFAULT_MAX_FRAME,
     compress_threshold: int | None = None,
-    codec: str = "zlib",
 ) -> list:
-    """Encode one v2 frame as a scatter-gather list, copy-free.
+    """Encode one frame as a scatter-gather list, copy-free.
 
     Returns ``[head, seg0, seg1, ...]`` where ``head`` is the fixed
     header plus the segment table and every other element is the
@@ -181,36 +115,36 @@ def encode_frame_v2(
     ``socket.sendmsg`` / ``writer.writelines`` and the bulk payloads are
     never concatenated or copied by this layer.
 
-    Segments of at least ``compress_threshold`` bytes are compressed
-    with ``codec`` and flagged, but only when that actually shrinks them
-    — incompressible pages travel raw.
+    Segments of at least ``compress_threshold`` bytes are zlib-compressed
+    and flagged, but only when that actually shrinks them — incompressible
+    pages travel raw.  Both the encoded frame and the segments' raw total
+    must fit ``max_frame``, which is exactly what the receiver enforces,
+    so any frame that encodes also decodes.
     """
     if not segments:
-        raise ValueError("a v2 frame needs at least one segment")
+        raise ValueError("a frame needs at least one segment")
     if len(segments) > MAX_SEGMENTS:
         raise ValueError(f"too many segments ({len(segments)} > {MAX_SEGMENTS})")
     out: list = []
     entries: list[tuple[int, int]] = []
     total = V2_META.size + len(segments) * V2_SEGMENT.size
+    raw = 0
     for segment in segments:
         size = _nbytes(segment)
+        raw += size
         seg_flags = 0
-        if (
-            compress_threshold is not None
-            and codec
-            and size >= compress_threshold
-        ):
-            code = _CODEC_IDS.get(codec)
-            if code is None:
-                raise ValueError(f"unknown segment codec {codec!r}")
-            packed = _SEGMENT_CODECS[code][1](segment)
+        if compress_threshold is not None and size >= compress_threshold:
+            # Level 1: the wire codec trades ratio for speed — threshold
+            # compression exists to win on fat, compressible payloads,
+            # not to stall the event loop grinding incompressible pages.
+            packed = zlib.compress(segment, 1)
             if len(packed) < size:
-                segment, size, seg_flags = packed, len(packed), code
+                segment, size, seg_flags = packed, len(packed), CODEC_ZLIB
         entries.append((size, seg_flags))
         out.append(segment)
         total += size
-    if total > max_frame:
-        raise FrameTooLargeError(total, max_frame)
+    if max(total, raw) > max_frame:
+        raise FrameTooLargeError(max(total, raw), max_frame)
     head = bytearray(HEADER.pack(MAGIC, PROTOCOL_V2, total))
     head += V2_META.pack(flags, len(entries))
     for size, seg_flags in entries:
@@ -219,23 +153,87 @@ def encode_frame_v2(
     return out
 
 
-# -- decoding --------------------------------------------------------------------------
+# -- validation (shared by both receive paths) ------------------------------------------
+
+
+def _parse_header(buf, offset: int, max_frame: int) -> int:
+    """Validate the fixed header at ``offset``; return the payload length."""
+    magic, version, length = HEADER.unpack_from(buf, offset)
+    if magic != MAGIC:
+        raise FrameError(
+            f"bad frame magic 0x{magic:02X} (expected "
+            f"0x{MAGIC:02X}): not an RPC stream"
+        )
+    if version != PROTOCOL_V2:
+        raise FrameError(
+            f"unsupported protocol version {version} (expected {PROTOCOL_V2})"
+        )
+    if length > max_frame:
+        raise FrameTooLargeError(length, max_frame)
+    if length < _MIN_PAYLOAD:
+        raise FrameError(f"frame announces {length} bytes, too short for a table")
+    return length
+
+
+def _parse_meta(buf, offset: int, length: int) -> tuple[int, int]:
+    """Validate the payload prelude; return ``(flags, nseg)``."""
+    flags, nseg = V2_META.unpack_from(buf, offset)
+    if not 1 <= nseg <= MAX_SEGMENTS:
+        raise FrameError(f"frame announces {nseg} segments")
+    if V2_META.size + nseg * V2_SEGMENT.size > length:
+        raise FrameError("segment table exceeds the frame length")
+    return flags, nseg
+
+
+def _parse_table(buf, offset: int, nseg: int, length: int) -> list[tuple[int, int]]:
+    """Validate the segment table; return its ``(size, seg_flags)`` entries."""
+    entries = [
+        V2_SEGMENT.unpack_from(buf, offset + i * V2_SEGMENT.size) for i in range(nseg)
+    ]
+    declared = V2_META.size + nseg * V2_SEGMENT.size + sum(s for s, _ in entries)
+    if declared != length:
+        raise FrameError(
+            f"segment table sums to {declared} bytes but the "
+            f"frame announces {length}"
+        )
+    return entries
+
+
+def _decode_segment(data: bytes, seg_flags: int, decoded: int, max_frame: int) -> bytes:
+    """Undo a segment's codec flag, capping the frame's decoded total.
+
+    ``decoded`` is what earlier segments of the frame already decoded
+    to: the whole frame, not each segment, must fit ``max_frame`` — the
+    decompression-bomb guard.
+    """
+    budget = max_frame - decoded
+    code = seg_flags & SEG_CODEC_MASK
+    if code == CODEC_ZLIB:
+        inflater = zlib.decompressobj()
+        try:
+            data = inflater.decompress(data, budget + 1)
+        except zlib.error as exc:
+            raise FrameError(f"corrupt compressed segment: {exc!r}") from exc
+        if not inflater.eof and len(data) <= budget:
+            raise FrameError("truncated compressed segment")
+    elif code:
+        raise FrameError(f"unknown segment codec id {code}")
+    if len(data) > budget:
+        raise FrameError(f"frame decodes past the {max_frame}-byte frame limit")
+    return data
+
+
+# -- incremental decoding --------------------------------------------------------------
 
 
 class Frame:
-    """One decoded frame: its protocol version, flags and segments."""
+    """One decoded frame: its flags and segments."""
 
-    __slots__ = ("version", "flags", "segments")
+    __slots__ = ("flags", "segments")
 
-    def __init__(self, version: int, flags: int, segments: list[bytes]) -> None:
-        self.version = version
+    def __init__(self, flags: int, segments: list[bytes]) -> None:
         self.flags = flags
         self.segments = segments
-
-    @property
-    def payload(self) -> bytes:
-        """The single payload of a v1 frame (first segment otherwise)."""
-        return self.segments[0]
 
     @property
     def is_batch(self) -> bool:
@@ -244,7 +242,7 @@ class Frame:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = [len(s) for s in self.segments]
-        return f"Frame(v{self.version}, flags=0x{self.flags:02X}, segments={sizes})"
+        return f"Frame(flags=0x{self.flags:02X}, segments={sizes})"
 
 
 #: Parser stages, in stream order.
@@ -254,7 +252,7 @@ _COMPACT_AT = 64 * 1024
 
 
 class ScatterParser:
-    """Incremental scatter-gather frame parser for both protocols.
+    """Incremental scatter-gather frame parser.
 
     Not thread-safe: each connection owns exactly one parser (frames of
     one stream are sequential by construction).  Two input paths exist:
@@ -279,16 +277,15 @@ class ScatterParser:
     __slots__ = (
         "max_frame",
         "direct_cutoff",
-        "_accept_v2",
         "_buf",
         "_off",
         "_stage",
-        "_version",
         "_length",
         "_flags",
+        "_nseg",
         "_table",
         "_segments",
-        "_seg_index",
+        "_decoded",
         "_direct",
         "_direct_view",
         "_direct_filled",
@@ -302,7 +299,6 @@ class ScatterParser:
         self,
         *,
         max_frame: int = DEFAULT_MAX_FRAME,
-        accept_v2: bool = True,
         direct_cutoff: int = DIRECT_CUTOFF,
     ) -> None:
         if max_frame < 1:
@@ -311,16 +307,16 @@ class ScatterParser:
             raise ValueError("direct_cutoff must be positive")
         self.max_frame = max_frame
         self.direct_cutoff = direct_cutoff
-        self._accept_v2 = accept_v2
         self._buf = bytearray()
         self._off = 0
         self._stage = _HEADER
-        self._version = 0
         self._length = 0
         self._flags = 0
+        self._nseg = 0
         self._table: list[tuple[int, int]] = []
         self._segments: list[bytes] = []
-        self._seg_index = 0
+        #: Decoded bytes of the current frame's segments so far.
+        self._decoded = 0
         self._direct: bytearray | None = None
         self._direct_view: memoryview | None = None
         self._direct_filled = 0
@@ -366,7 +362,6 @@ class ScatterParser:
         self._pending += nbytes
         frames: list[Frame] = []
         if self._direct_filled >= len(self._direct):
-            self._finish_direct(frames)
             self._run(frames)
         return frames
 
@@ -387,10 +382,8 @@ class ScatterParser:
             self._direct_filled += take
             self._pending += take
             view = view[take:]
-            if self._direct_filled >= len(self._direct):
-                self._finish_direct(frames)
-            elif view.nbytes == 0:
-                return frames
+            if self._direct_filled < len(self._direct):
+                return frames  # the whole chunk went into the segment
         if view.nbytes:
             self._buf += view
             self._pending += view.nbytes
@@ -429,111 +422,65 @@ class ScatterParser:
             if self._stage == _HEADER:
                 if self._available() < HEADER.size:
                     return
-                magic, version, length = HEADER.unpack_from(self._buf, self._off)
-                if magic != MAGIC:
-                    raise FrameError(
-                        f"bad frame magic 0x{magic:02X} (expected "
-                        f"0x{MAGIC:02X}): not an RPC stream"
-                    )
-                if version != PROTOCOL_V1 and not (
-                    version == PROTOCOL_V2 and self._accept_v2
-                ):
-                    raise FrameError(
-                        f"unsupported protocol version {version} "
-                        f"(expected {PROTOCOL_V1}"
-                        + (f" or {PROTOCOL_V2}" if self._accept_v2 else "")
-                        + ")"
-                    )
-                if length > self.max_frame:
-                    raise FrameTooLargeError(length, self.max_frame)
+                self._length = _parse_header(self._buf, self._off, self.max_frame)
                 self._off += HEADER.size
-                self._version, self._length = version, length
-                self._segments = []
-                self._seg_index = 0
-                if version == PROTOCOL_V1:
-                    self._flags = 0
-                    self._table = [(length, 0)]
-                    self._stage = _SEGMENT
-                else:
-                    self._stage = _META
+                self._stage = _META
             elif self._stage == _META:
                 if self._available() < V2_META.size:
                     return
-                flags, nseg = V2_META.unpack_from(self._buf, self._off)
-                if not 1 <= nseg <= MAX_SEGMENTS:
-                    raise FrameError(f"v2 frame announces {nseg} segments")
-                if V2_META.size + nseg * V2_SEGMENT.size > self._length:
-                    raise FrameError("v2 segment table exceeds the frame length")
+                self._flags, self._nseg = _parse_meta(
+                    self._buf, self._off, self._length
+                )
                 self._off += V2_META.size
-                self._flags = flags
-                self._table = []
                 self._stage = _TABLE
-                self._seg_index = nseg  # reuse as "entries still to read"
             elif self._stage == _TABLE:
-                need = self._seg_index * V2_SEGMENT.size
+                need = self._nseg * V2_SEGMENT.size
                 if self._available() < need:
                     return
-                for _ in range(self._seg_index):
-                    entry = V2_SEGMENT.unpack_from(self._buf, self._off)
-                    self._table.append(entry)
-                    self._off += V2_SEGMENT.size
-                body = sum(size for size, _ in self._table)
-                declared = (
-                    V2_META.size + len(self._table) * V2_SEGMENT.size + body
+                self._table = _parse_table(
+                    self._buf, self._off, self._nseg, self._length
                 )
-                if declared != self._length:
-                    raise FrameError(
-                        f"v2 segment table sums to {declared} bytes but the "
-                        f"frame announces {self._length}"
-                    )
-                self._seg_index = 0
+                self._off += need
+                self._segments = []
+                self._decoded = 0
                 self._stage = _SEGMENT
             else:  # _SEGMENT
-                if self._seg_index >= len(self._table):
+                index = len(self._segments)
+                if index >= len(self._table):
                     self._emit(frames)
                     continue
-                size, seg_flags = self._table[self._seg_index]
-                available = self._available()
-                if available < size:
-                    if size >= self.direct_cutoff:
-                        # Bulk segment: preallocate its exact buffer, move
-                        # what already arrived, and let the caller receive
-                        # the remainder straight into it.
-                        self._direct = bytearray(size)
-                        self._direct_view = memoryview(self._direct)
-                        self._direct_view[:available] = memoryview(self._buf)[
-                            self._off : self._off + available
-                        ]
-                        self._direct_filled = available
-                        self._off += available
-                    return
-                segment = bytes(
-                    memoryview(self._buf)[self._off : self._off + size]
+                size, seg_flags = self._table[index]
+                if self._direct is not None:
+                    if self._direct_filled < size:
+                        return
+                    segment = bytes(self._direct)
+                    self._direct = self._direct_view = None
+                    self._direct_filled = 0
+                else:
+                    available = self._available()
+                    if available < size:
+                        if size >= self.direct_cutoff:
+                            # Bulk segment: preallocate its exact buffer,
+                            # move what already arrived, and let the caller
+                            # receive the remainder straight into it.
+                            self._direct = bytearray(size)
+                            self._direct_view = memoryview(self._direct)
+                            self._direct_view[:available] = memoryview(self._buf)[
+                                self._off : self._off + available
+                            ]
+                            self._direct_filled = available
+                            self._off += available
+                        return
+                    segment = bytes(memoryview(self._buf)[self._off : self._off + size])
+                    self._off += size
+                segment = _decode_segment(
+                    segment, seg_flags, self._decoded, self.max_frame
                 )
-                self._off += size
-                self._store_segment(segment, seg_flags)
-
-    def _finish_direct(self, frames: list[Frame]) -> None:
-        size, seg_flags = self._table[self._seg_index]
-        segment = bytes(self._direct)
-        self._direct = None
-        self._direct_view = None
-        self._direct_filled = 0
-        try:
-            self._store_segment(segment, seg_flags)
-            if self._seg_index >= len(self._table):
-                self._emit(frames)
-        except FrameError as exc:
-            raise self._fail(exc) from None
-
-    def _store_segment(self, segment: bytes, seg_flags: int) -> None:
-        self._segments.append(
-            _decode_stored(segment, seg_flags, self.max_frame)
-        )
-        self._seg_index += 1
+                self._decoded += len(segment)
+                self._segments.append(segment)
 
     def _emit(self, frames: list[Frame]) -> None:
-        frames.append(Frame(self._version, self._flags, self._segments))
+        frames.append(Frame(self._flags, self._segments))
         self._pending -= HEADER.size + self._length
         self._segments = []
         self._stage = _HEADER
@@ -550,18 +497,6 @@ class ScatterParser:
             self._off = 0
 
 
-def _decode_stored(segment: bytes, seg_flags: int, limit: int) -> bytes:
-    """Undo a segment's codec flag (bomb-guarded by ``limit``)."""
-    code = seg_flags & SEG_CODEC_MASK
-    if not code:
-        return segment
-    try:
-        decompress = _SEGMENT_CODECS[code][2]
-    except KeyError:
-        raise FrameError(f"unknown segment codec id {code}") from None
-    return decompress(segment, limit)
-
-
 # -- exact-framed socket reads ---------------------------------------------------------
 
 #: Frames no larger than this are read by :func:`recv_frame` in one gulp
@@ -570,8 +505,8 @@ def _decode_stored(segment: bytes, seg_flags: int, limit: int) -> bytes:
 _GULP_CUTOFF = 64 * 1024
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    """Exactly ``count`` bytes from a blocking socket, as one ``bytes``.
+def _recv_upto(sock: socket.socket, count: int) -> bytes:
+    """Up to ``count`` bytes from a blocking socket, short only at EOF.
 
     ``MSG_WAITALL`` makes the kernel assemble the full run into a single
     allocation — for a bulk segment this is the *only* user-space copy
@@ -579,168 +514,78 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     as-is by the pickle-5 out-of-band decode path.
     """
     data = sock.recv(count, socket.MSG_WAITALL)
-    if len(data) == count:
+    if len(data) == count or not data:
         return data
-    if not data:
-        raise TruncatedFrameError("stream ended inside a frame")
-    # MSG_WAITALL can return short (signals, huge reads): finish by hand.
+    # MSG_WAITALL can return short (signals, huge reads, EOF): finish by hand.
     parts = [data]
     got = len(data)
     while got < count:
         more = sock.recv(count - got, socket.MSG_WAITALL)
         if not more:
-            raise TruncatedFrameError("stream ended inside a frame")
+            break
         parts.append(more)
         got += len(more)
     return b"".join(parts)
 
 
-def _check_header(magic: int, version: int, length: int, max_frame: int, accept_v2: bool) -> None:
-    if magic != MAGIC:
-        raise FrameError(
-            f"bad frame magic 0x{magic:02X} (expected "
-            f"0x{MAGIC:02X}): not an RPC stream"
-        )
-    if version != PROTOCOL_V1 and not (version == PROTOCOL_V2 and accept_v2):
-        raise FrameError(
-            f"unsupported protocol version {version} "
-            f"(expected {PROTOCOL_V1}"
-            + (f" or {PROTOCOL_V2}" if accept_v2 else "")
-            + ")"
-        )
-    if length > max_frame:
-        raise FrameTooLargeError(length, max_frame)
-
-
-def _check_table(
-    entries: list[tuple[int, int]], nseg: int, length: int
-) -> None:
-    if not 1 <= nseg <= MAX_SEGMENTS:
-        raise FrameError(f"v2 frame announces {nseg} segments")
-    declared = V2_META.size + nseg * V2_SEGMENT.size + sum(
-        size for size, _ in entries
-    )
-    if declared != length:
-        raise FrameError(
-            f"v2 segment table sums to {declared} bytes but the "
-            f"frame announces {length}"
-        )
+def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    """Exactly ``count`` bytes from a blocking socket, as one ``bytes``."""
+    data = _recv_upto(sock, count)
+    if len(data) < count:
+        raise TruncatedFrameError("stream ended inside a frame")
+    return data
 
 
 def recv_frame(
-    sock: socket.socket,
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    accept_v2: bool = True,
+    sock: socket.socket, *, max_frame: int = DEFAULT_MAX_FRAME
 ) -> Frame | None:
     """Read one whole frame from a blocking socket, minimally copied.
 
     The stream's self-describing layout makes exact reads possible: the
-    fixed header announces the frame length, the v2 segment table
-    announces every segment's size.  Small frames arrive in one gulp;
-    each bulk segment of a large v2 frame is read with ``MSG_WAITALL``
-    straight into its own immutable ``bytes`` — no accumulation buffer,
-    no re-slicing, no materialization copy.  This is the receive path of
-    the threaded client; the asyncio server uses :class:`ScatterParser`.
+    fixed header announces the frame length, the segment table announces
+    every segment's size.  Small frames arrive in one gulp; each bulk
+    segment of a large frame is read with ``MSG_WAITALL`` straight into
+    its own immutable ``bytes`` — no accumulation buffer, no re-slicing,
+    no materialization copy.  This is the receive path of the threaded
+    client; the asyncio server uses :class:`ScatterParser`, and both
+    validate in the same order, so a stream yields the same frames and
+    the same error through either.
 
     Returns ``None`` on a clean end-of-stream at a frame boundary.
     Raises :class:`FrameError` (stream corrupt) or
     :class:`TruncatedFrameError` (peer died mid-frame) otherwise.
     """
-    header = sock.recv(HEADER.size, socket.MSG_WAITALL)
+    header = _recv_upto(sock, HEADER.size)
     if not header:
         return None
     if len(header) < HEADER.size:
-        header += _recv_exact(sock, HEADER.size - len(header))
-    magic, version, length = HEADER.unpack(header)
-    _check_header(magic, version, length, max_frame, accept_v2)
-    if version == PROTOCOL_V1:
-        payload = _recv_exact(sock, length) if length else b""
-        return Frame(PROTOCOL_V1, 0, [payload])
-    if length < V2_META.size:
-        raise FrameError("v2 segment table exceeds the frame length")
+        raise TruncatedFrameError("stream ended inside a frame header")
+    length = _parse_header(header, 0, max_frame)
     if length <= _GULP_CUTOFF:
-        body = memoryview(_recv_exact(sock, length))
-        flags, nseg = V2_META.unpack_from(body, 0)
-        if V2_META.size + nseg * V2_SEGMENT.size > length:
-            raise FrameError("v2 segment table exceeds the frame length")
-        entries = [
-            V2_SEGMENT.unpack_from(body, V2_META.size + i * V2_SEGMENT.size)
-            for i in range(nseg)
-        ]
-        _check_table(entries, nseg, length)
-        segments: list[bytes] = []
-        offset = V2_META.size + nseg * V2_SEGMENT.size
-        for size, seg_flags in entries:
-            segments.append(
-                _decode_stored(
-                    bytes(body[offset : offset + size]), seg_flags, max_frame
-                )
-            )
-            offset += size
-        return Frame(PROTOCOL_V2, flags, segments)
-    flags, nseg = V2_META.unpack(_recv_exact(sock, V2_META.size))
-    if not 1 <= nseg <= MAX_SEGMENTS:
-        raise FrameError(f"v2 frame announces {nseg} segments")
-    if V2_META.size + nseg * V2_SEGMENT.size > length:
-        raise FrameError("v2 segment table exceeds the frame length")
-    table = _recv_exact(sock, nseg * V2_SEGMENT.size)
-    entries = list(V2_SEGMENT.iter_unpack(table))
-    _check_table(entries, nseg, length)
-    segments = []
-    for size, seg_flags in entries:
-        data = _recv_exact(sock, size) if size else b""
-        segments.append(_decode_stored(data, seg_flags, max_frame))
-    return Frame(PROTOCOL_V2, flags, segments)
+        # One read for the whole payload, then slices of it.  A short
+        # read at EOF still validates the prefix that arrived, exactly as
+        # the incremental parser would have, before the truncation shows.
+        body = memoryview(_recv_upto(sock, length))
+        offset = 0
 
+        def take(count: int) -> bytes:
+            nonlocal offset
+            if offset + count > len(body):
+                raise TruncatedFrameError("stream ended inside a frame")
+            offset += count
+            return bytes(body[offset - count : offset])
 
-class FrameDecoder:
-    """Chunk-fed frame decoder: the historical feed/payload surface.
+    else:
 
-    A thin wrapper over :class:`ScatterParser` for consumers that hold
-    complete chunks in hand (the loopback transport, tests).  With the
-    default ``accept_v2=False`` it is a strict v1 decoder — a v2 frame
-    raises :class:`FrameError` exactly like any other unknown version,
-    which is the behaviour protocol negotiation relies on.
-    """
+        def take(count: int) -> bytes:
+            return _recv_exact(sock, count) if count else b""
 
-    def __init__(
-        self,
-        *,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        accept_v2: bool = False,
-    ) -> None:
-        self._parser = ScatterParser(max_frame=max_frame, accept_v2=accept_v2)
-        self.max_frame = max_frame
-
-    @property
-    def frames_decoded(self) -> int:
-        """Total frames decoded (monitoring/tests)."""
-        return self._parser.frames_decoded
-
-    @property
-    def bytes_compacted(self) -> int:
-        """Bytes moved by buffer compaction (linearity metric)."""
-        return self._parser.bytes_compacted
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards the next, still-incomplete frame."""
-        return self._parser.pending_bytes
-
-    @property
-    def at_boundary(self) -> bool:
-        """True when the stream may end here without truncating a frame."""
-        return self._parser.at_boundary
-
-    def feed(self, data) -> list[bytes]:
-        """Absorb ``data`` and return every v1 payload it completes."""
-        return [frame.payload for frame in self._parser.feed(data)]
-
-    def feed_frames(self, data) -> list[Frame]:
-        """Absorb ``data`` and return every frame (v1 or v2) it completes."""
-        return self._parser.feed(data)
-
-    def eof(self) -> None:
-        """Signal end of stream; raises if it ends inside a frame."""
-        self._parser.eof()
+    flags, nseg = _parse_meta(take(V2_META.size), 0, length)
+    table = take(nseg * V2_SEGMENT.size)
+    segments: list[bytes] = []
+    decoded = 0
+    for size, seg_flags in _parse_table(table, 0, nseg, length):
+        segment = _decode_segment(take(size), seg_flags, decoded, max_frame)
+        decoded += len(segment)
+        segments.append(segment)
+    return Frame(flags, segments)

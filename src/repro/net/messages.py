@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from .errors import MessageDecodeError, RemoteCallError
 
@@ -33,13 +33,11 @@ __all__ = [
     "Response",
     "encode_message",
     "decode_message",
-    "encode_message_v2",
-    "decode_message_v2",
     "DEFAULT_OOB_THRESHOLD",
 ]
 
 #: Bytes payloads at least this large leave the pickle stream as
-#: out-of-band buffers (their own frame segments) under protocol v2.
+#: out-of-band buffers (their own frame segments).
 DEFAULT_OOB_THRESHOLD = 16 * 1024
 
 
@@ -62,30 +60,6 @@ class Response:
     ok: bool
     value: Any = None
     error: BaseException | None = None
-
-
-def encode_message(message: Request | Response) -> bytes:
-    """Serialise a message; unpicklable content degrades, never raises.
-
-    A response whose value or error cannot be pickled is replaced by an
-    error response carrying the repr — the caller gets a
-    :class:`RemoteCallError` instead of the connection dying on a
-    serialisation failure the remote side could not anticipate.
-    """
-    try:
-        return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        if isinstance(message, Response):
-            fallback = Response(
-                msg_id=message.msg_id,
-                ok=False,
-                error=RemoteCallError(
-                    f"response not serialisable ({exc!r}); "
-                    f"value/error was {message.value!r} / {message.error!r}"
-                ),
-            )
-            return pickle.dumps(fallback, protocol=pickle.HIGHEST_PROTOCOL)
-        raise MessageDecodeError(f"request not serialisable: {exc!r}") from exc
 
 
 def _exportable(obj: Any, threshold: int, depth: int) -> Any:
@@ -133,21 +107,27 @@ def _exportable(obj: Any, threshold: int, depth: int) -> Any:
     return obj
 
 
-def encode_message_v2(
+def encode_message(
     message: Request | Response,
     *,
     oob_threshold: int = DEFAULT_OOB_THRESHOLD,
 ) -> tuple[bytes, list]:
-    """Serialise a message for protocol v2: ``(head, bulk_buffers)``.
+    """Serialise a message: ``(head, bulk_buffers)``.
 
     ``head`` is a pickle-protocol-5 stream whose bulk payloads (bytes
     of at least ``oob_threshold``, and every memoryview) were lifted
     out-of-band; ``bulk_buffers`` are those payloads' raw buffers, in
     pickling order, ready to travel as their own frame segments.  The
-    receiver reassembles with :func:`decode_message_v2` — bulk bytes
-    objects are adopted *as-is* (zero-copy) by the unpickler.
+    receiver reassembles with :func:`decode_message` — bulk bytes
+    objects are adopted *as-is* (zero-copy) by the unpickler.  A message
+    with no bulk payloads is its head alone, which is what a batch frame
+    carries per segment.
 
-    Unpicklable content degrades exactly like :func:`encode_message`.
+    Unpicklable content degrades, never raises, on the response side: a
+    response whose value or error cannot be pickled is replaced by an
+    error response carrying the repr — the caller gets a
+    :class:`RemoteCallError` instead of the connection dying on a
+    serialisation failure the remote side could not anticipate.
     """
     if isinstance(message, Request):
         prepared: Request | Response = Request(
@@ -168,7 +148,6 @@ def encode_message_v2(
     try:
         head = pickle.dumps(prepared, protocol=5, buffer_callback=buffers.append)
     except Exception as exc:
-        buffers.clear()
         if isinstance(message, Response):
             fallback = Response(
                 msg_id=message.msg_id,
@@ -183,41 +162,23 @@ def encode_message_v2(
     return head, [buf.raw() for buf in buffers]
 
 
-def decode_message_v2(head: bytes, buffers: list) -> Request | Response:
-    """Reassemble a v2 message from its head and out-of-band segments.
+def decode_message(head: bytes, buffers: Sequence = ()) -> Request | Response:
+    """Reassemble a message from its head and out-of-band segments.
 
     ``buffers`` must be the frame's bulk segments in wire order.  When a
     segment is an immutable ``bytes`` object the unpickler adopts it
     directly — the payload the service sees *is* the receive buffer.
-    """
-    try:
-        message = pickle.loads(head, buffers=buffers)
-    except Exception as exc:
-        raise MessageDecodeError(
-            f"v2 message head does not unpickle: {exc!r}"
-        ) from exc
-    if not isinstance(message, (Request, Response)):
-        raise MessageDecodeError(
-            f"v2 message head decodes to {type(message).__name__}, "
-            "not a Request or Response"
-        )
-    return message
-
-
-def decode_message(payload: bytes) -> Request | Response:
-    """Deserialise one frame payload into a message.
-
     Anything that does not unpickle to a :class:`Request` or
     :class:`Response` raises :class:`MessageDecodeError` — garbage frames
     are a protocol violation, handled by dropping the connection.
     """
     try:
-        message = pickle.loads(payload)
+        message = pickle.loads(head, buffers=buffers)
     except Exception as exc:
-        raise MessageDecodeError(f"frame payload does not unpickle: {exc!r}") from exc
+        raise MessageDecodeError(f"message head does not unpickle: {exc!r}") from exc
     if not isinstance(message, (Request, Response)):
         raise MessageDecodeError(
-            f"frame payload decodes to {type(message).__name__}, "
+            f"message head decodes to {type(message).__name__}, "
             "not a Request or Response"
         )
     return message

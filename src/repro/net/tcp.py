@@ -14,20 +14,12 @@ correlation id, not arrival order, pairs them up.
 
 The client (:class:`TcpTransport`) keeps a small per-peer connection
 pool.  Each pooled connection multiplexes any number of in-flight calls:
-a writer lock serialises frame writes (v2 frames leave through one
+a writer lock serialises frame writes (each frame leaves through one
 scatter-gather ``sendmsg``, bulk payloads uncopied), a background reader
 thread demultiplexes responses to per-call events by ``msg_id``.
 Connection failures fail all in-flight calls with
 :class:`~repro.net.errors.PeerUnavailableError` and the next call
 reconnects (the base class's retry policy provides the backoff).
-
-Protocol negotiation is per connection: a fresh connection that wants v2
-sends a v1-framed probe to the reserved ``__wire__`` pseudo-service.  A
-v2 server intercepts it and answers with its capabilities; a v1 server
-routes it through its registry, which answers with an
-``UnknownServiceError`` *error response* — the connection survives and
-the client simply stays on v1.  Downgrade is therefore free and
-automatic in both directions.
 
 Small-op batching is opt-in per transport (``batching=True``): queued
 sub-threshold requests coalesce into one ``FLAG_BATCH`` frame.  The
@@ -64,35 +56,28 @@ from .faults import NetworkFaultPlan
 from .framing import (
     DEFAULT_MAX_FRAME,
     FLAG_BATCH,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
+    V2_META,
+    V2_SEGMENT,
     ScatterParser,
-    codec_names,
-    encode_frame,
     encode_frame_v2,
     recv_frame,
 )
-from .messages import (
-    Request,
-    Response,
-    decode_message,
-    decode_message_v2,
-    encode_message,
-    encode_message_v2,
-)
+from .messages import Request, Response, decode_message, encode_message
 from .service import ServiceRegistry
 from .transport import RetryPolicy, Transport, WireConfig
 
-__all__ = ["RpcServer", "TcpTransport", "WIRE_SERVICE"]
+__all__ = ["RpcServer", "TcpTransport"]
 
 _READ_CHUNK = 256 * 1024
 #: Socket buffer size: holds a whole bulk payload so one send hands the
 #: entire scatter list to the kernel without blocking or staging copies.
 _SOCK_BUF = 1024 * 1024
-#: Reserved pseudo-service name used by the protocol negotiation probe.
-WIRE_SERVICE = "__wire__"
-#: How long a fresh connection waits for the negotiation probe's answer.
-_HELLO_TIMEOUT = 5.0
+#: Ceiling on requests (or responses) coalesced into one batch frame.
+BATCH_MAX_OPS = 64
+#: Ceiling on a batch frame's summed payload bytes.
+BATCH_MAX_BYTES = 128 * 1024
+#: Only messages encoding below this many bytes are batched.
+BATCH_THRESHOLD = 2048
 #: Upper bound on how long the flusher lets a batch accumulate behind an
 #: outstanding one.  Normally the previous batch's responses clock the
 #: next flush well before this; the cap only matters when a response is
@@ -101,12 +86,21 @@ _HELLO_TIMEOUT = 5.0
 _GROUP_COMMIT_CAP = 0.02
 
 
+def _batch_byte_cap(max_frame: int) -> int:
+    """Summed head bytes a batch frame may carry and still fit ``max_frame``."""
+    table = V2_META.size + BATCH_MAX_OPS * V2_SEGMENT.size
+    return min(BATCH_MAX_BYTES, max_frame - table)
+
+
+def _batch_cutoff(max_frame: int) -> int:
+    """Heads at least this long leave in their own frame, never batched:
+    below it, even a lone head fits a batch frame under ``max_frame``."""
+    return min(BATCH_THRESHOLD, _batch_byte_cap(max_frame))
+
+
 def _tune_socket(sock: socket.socket) -> None:
-    """Part of the v2 wire path: NODELAY for request/response latency,
-    buffers deep enough that a whole bulk payload enters the kernel in
-    one scatter-gather send.  Legacy (protocol 1) endpoints keep the OS
-    defaults so v1 mode stays faithful to the original wire behaviour.
-    """
+    """NODELAY for request/response latency, buffers deep enough that a
+    whole bulk payload enters the kernel in one scatter-gather send."""
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _SOCK_BUF)
@@ -126,18 +120,12 @@ class RpcServer:
         port: int = 0,
         max_frame: int = DEFAULT_MAX_FRAME,
         wire: WireConfig | None = None,
-        protocol: int | None = None,
     ) -> None:
         self._registry = registry
         self._host = host
         self._port = port
         self._max_frame = max_frame
-        self._wire = wire if wire is not None else WireConfig.from_env()
-        #: Highest protocol this server speaks.  ``protocol=1`` is the
-        #: legacy mode: v2 frames are rejected as framing violations and
-        #: the ``__wire__`` probe falls through to the registry (which
-        #: answers "unknown service"), exactly like a pre-v2 build.
-        self._protocol = protocol if protocol is not None else self._wire.protocol
+        self._wire = wire if wire is not None else WireConfig()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._thread: threading.Thread | None = None
@@ -223,35 +211,13 @@ class RpcServer:
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
-    # -- request handling --------------------------------------------------------------
-    def _wire_hello(self, request: Request) -> Response:
-        """Answer the negotiation probe with this server's capabilities."""
-        return Response(
-            msg_id=request.msg_id,
-            ok=True,
-            value={
-                "versions": (PROTOCOL_V1, PROTOCOL_V2),
-                "max_frame": self._max_frame,
-                "codecs": codec_names(),
-                "batch": True,
-            },
-        )
-
-    def _dispatch(self, request: Request) -> Response:
-        if request.service == WIRE_SERVICE and self._protocol >= PROTOCOL_V2:
-            return self._wire_hello(request)
-        return self._registry.dispatch(request)
-
 
 class _ServerConnection(asyncio.BufferedProtocol):
     """One server-side connection: scatter receive, per-request tasks."""
 
     def __init__(self, server: RpcServer) -> None:
         self._server = server
-        self._parser = ScatterParser(
-            max_frame=server._max_frame,
-            accept_v2=server._protocol >= PROTOCOL_V2,
-        )
+        self._parser = ScatterParser(max_frame=server._max_frame)
         self._scratch = memoryview(bytearray(_READ_CHUNK))
         self._direct = False
         self._transport: asyncio.Transport | None = None
@@ -261,10 +227,9 @@ class _ServerConnection(asyncio.BufferedProtocol):
     # -- asyncio protocol hooks --------------------------------------------------------
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._transport = transport  # type: ignore[assignment]
-        if self._server._protocol >= PROTOCOL_V2:
-            sock = transport.get_extra_info("socket")
-            if sock is not None:
-                _tune_socket(sock)
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            _tune_socket(sock)
         self._loop = asyncio.get_running_loop()
         self._writable = asyncio.Event()
         self._writable.set()
@@ -309,59 +274,51 @@ class _ServerConnection(asyncio.BufferedProtocol):
             self._transport.close()
             return
         for frame in frames:
-            if frame.version == PROTOCOL_V2 and frame.is_batch:
+            if frame.is_batch:
                 self._loop.create_task(self._serve_batch(frame.segments))
                 continue
-            try:
-                if frame.version == PROTOCOL_V1:
-                    message = decode_message(frame.payload)
-                else:
-                    message = decode_message_v2(
-                        frame.segments[0], list(frame.segments[1:])
-                    )
-            except MessageDecodeError:
-                self._server.protocol_errors += 1
-                continue
-            if not isinstance(message, Request):
-                self._server.protocol_errors += 1
-                continue
-            self._loop.create_task(self._serve_one(message, frame.version))
+            request = self._decode_request(frame.segments[0], frame.segments[1:])
+            if request is not None:
+                self._loop.create_task(self._serve_one(request))
 
     def abort(self) -> None:
         if self._transport is not None:
             self._transport.abort()
 
     # -- serving -----------------------------------------------------------------------
-    async def _serve_one(self, request: Request, version: int) -> None:
+    def _decode_request(self, head: bytes, buffers=()) -> Request | None:
+        """The request a frame carries, or ``None`` after counting a
+        protocol error (garbage is dropped, the connection survives)."""
+        try:
+            message = decode_message(head, buffers)
+        except MessageDecodeError:
+            message = None
+        if isinstance(message, Request):
+            return message
+        self._server.protocol_errors += 1
+        return None
+
+    async def _serve_one(self, request: Request) -> None:
         # Services are synchronous objects; running dispatch on the
         # executor keeps slow handlers from stalling the event loop, and
-        # gives one connection real request concurrency.  The wire hello
-        # is answered inline — it must not queue behind slow handlers.
-        if request.service == WIRE_SERVICE:
-            response = self._server._dispatch(request)
-        else:
-            response = await self._loop.run_in_executor(
-                None, self._server._dispatch, request
-            )
+        # gives one connection real request concurrency.
+        response = await self._loop.run_in_executor(
+            None, self._server._registry.dispatch, request
+        )
+        head, buffers = self._encode_response(response)
         try:
-            await self._write(self._encode_response(response, version))
+            await self._write(self._frame_response(response, head, buffers))
             self._server.requests_served += 1
         except (ConnectionError, RuntimeError):
             pass  # client went away mid-response
 
     async def _serve_batch(self, segments: list[bytes]) -> None:
         server = self._server
-        requests: list[Request] = []
-        for segment in segments:
-            try:
-                message = decode_message(segment)
-            except MessageDecodeError:
-                server.protocol_errors += 1
-                continue
-            if isinstance(message, Request):
-                requests.append(message)
-            else:
-                server.protocol_errors += 1
+        requests = [
+            request
+            for request in map(self._decode_request, segments)
+            if request is not None
+        ]
         if not requests:
             return
 
@@ -369,59 +326,48 @@ class _ServerConnection(asyncio.BufferedProtocol):
             # One executor round for the whole batch: the client opted
             # into trading per-request concurrency for per-op overhead
             # on this channel (uniformly short metadata calls).
-            return [server._dispatch(request) for request in requests]
+            return [server._registry.dispatch(request) for request in requests]
 
         responses = await self._loop.run_in_executor(None, run)
         server.batched_requests += len(requests)
-        wire_cfg = server._wire
-        small: list[bytes] = []
-        bulky: list[list] = []
+        # Small responses coalesce into batch frames; any other response
+        # leaves in its own frame through the single-response encoder,
+        # so an oversize one degrades to an error for its caller alone.
+        byte_cap = _batch_byte_cap(server._max_frame)
+        cutoff = _batch_cutoff(server._max_frame)
+        frames: list[list] = []
+        batch: list[bytes] = []
+        size = 0
         for response in responses:
-            head, buffers = encode_message_v2(
-                response, oob_threshold=wire_cfg.oob_threshold
-            )
-            if buffers or len(head) >= wire_cfg.batch_threshold:
-                bulky.append(
-                    encode_frame_v2(
-                        [head, *buffers],
-                        max_frame=server._max_frame,
-                        compress_threshold=wire_cfg.compress_threshold,
-                        codec=wire_cfg.compress_codec,
-                    )
-                )
-            else:
-                small.append(head)
+            head, buffers = self._encode_response(response)
+            if buffers or len(head) >= cutoff:
+                frames.append(self._frame_response(response, head, buffers))
+                continue
+            if batch and (len(batch) == BATCH_MAX_OPS or size + len(head) > byte_cap):
+                frames.append(encode_frame_v2(batch, flags=FLAG_BATCH))
+                batch, size = [], 0
+            batch.append(head)
+            size += len(head)
+        if batch:
+            frames.append(encode_frame_v2(batch, flags=FLAG_BATCH))
         try:
-            for start in range(0, len(small), wire_cfg.batch_max_ops):
-                group = small[start : start + wire_cfg.batch_max_ops]
-                await self._write(
-                    encode_frame_v2(
-                        group, flags=FLAG_BATCH, max_frame=server._max_frame
-                    )
-                )
-            for parts in bulky:
+            for parts in frames:
                 await self._write(parts)
             server.requests_served += len(requests)
         except (ConnectionError, RuntimeError):
             pass  # client went away mid-response
 
-    def _encode_response(self, response: Response, version: int) -> list:
+    def _encode_response(self, response: Response) -> tuple[bytes, list]:
+        return encode_message(response, oob_threshold=self._server._wire.oob_threshold)
+
+    def _frame_response(self, response: Response, head: bytes, buffers: list) -> list:
+        """One response's own frame; an oversize one becomes an error."""
         try:
-            if version >= PROTOCOL_V2:
-                head, buffers = encode_message_v2(
-                    response, oob_threshold=self._server._wire.oob_threshold
-                )
-                return encode_frame_v2(
-                    [head, *buffers],
-                    max_frame=self._server._max_frame,
-                    compress_threshold=self._server._wire.compress_threshold,
-                    codec=self._server._wire.compress_codec,
-                )
-            return [
-                encode_frame(
-                    encode_message(response), max_frame=self._server._max_frame
-                )
-            ]
+            return encode_frame_v2(
+                [head, *buffers],
+                max_frame=self._server._max_frame,
+                compress_threshold=self._server._wire.compress_threshold,
+            )
         except FrameTooLargeError as exc:
             # An oversize response must not silently strand the caller
             # until timeout: degrade to an error response it can raise.
@@ -430,7 +376,7 @@ class _ServerConnection(asyncio.BufferedProtocol):
                 ok=False,
                 error=RemoteCallError(f"response exceeds frame limit: {exc}"),
             )
-            return self._encode_response(fallback, version)
+            return self._frame_response(fallback, *self._encode_response(fallback))
 
     async def _write(self, parts: list) -> None:
         await self._writable.wait()
@@ -466,30 +412,25 @@ class _Connection:
         peer: str,
         max_frame: int,
         wire: WireConfig | None = None,
-        want_protocol: int | None = None,
         batching: bool = False,
         owner: "TcpTransport | None" = None,
     ) -> None:
         self._peer = peer
         self._max_frame = max_frame
-        self._wire = wire if wire is not None else WireConfig.from_env()
+        self._wire = wire if wire is not None else WireConfig()
         self._owner = owner
-        #: Protocol in force on this connection (negotiation may raise it).
-        self.protocol = PROTOCOL_V1
-        self._peer_codecs: tuple[str, ...] = ()
         try:
             self._sock = socket.create_connection((host, port), timeout=10.0)
         except OSError as exc:
             raise PeerUnavailableError(peer, repr(exc)) from exc
         self._sock.settimeout(None)
-        want = want_protocol if want_protocol is not None else self._wire.protocol
-        if want >= PROTOCOL_V2:
-            _tune_socket(self._sock)
+        _tune_socket(self._sock)
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
         self._pending: dict[int, _PendingCall] = {}
         self._dead = False
-        self._batching = False
+        self._batching = batching
+        self._batch_cutoff = _batch_cutoff(max_frame)
         self._batch_cond = threading.Condition()
         self._batch_queue: deque[tuple[int, bytes]] = deque()
         self._batched_ids: set[int] = set()
@@ -499,10 +440,7 @@ class _Connection:
             target=self._read_loop, name=f"rpc-client-{peer}", daemon=True
         )
         self._reader.start()
-        if want >= PROTOCOL_V2:
-            self._negotiate()
-        if batching and self.protocol >= PROTOCOL_V2:
-            self._batching = True
+        if batching:
             self._flusher = threading.Thread(
                 target=self._flush_loop, name=f"rpc-batch-{peer}", daemon=True
             )
@@ -516,37 +454,6 @@ class _Connection:
     def in_flight(self) -> int:
         with self._pending_lock:
             return len(self._pending)
-
-    # -- negotiation -------------------------------------------------------------------
-    def _negotiate(self) -> None:
-        """Probe the peer for v2; any non-fatal failure means v1.
-
-        The probe is a *v1-framed* request to the reserved ``__wire__``
-        service, so a v1 server treats it as an ordinary unknown-service
-        call and answers with an error response — the connection
-        survives and this client simply stays on protocol v1.
-        """
-        probe = Request(msg_id=0, service=WIRE_SERVICE, method="describe")
-        try:
-            response = self.request(probe, _HELLO_TIMEOUT, no_batch=True)
-        except PeerUnavailableError:
-            raise  # the connection itself died: surface as a dial failure
-        except RpcTimeoutError:
-            return  # silent peer: assume v1, the stream is still clean
-        if not response.ok or not isinstance(response.value, dict):
-            return
-        versions = tuple(response.value.get("versions", ()))
-        if PROTOCOL_V2 in versions:
-            self.protocol = PROTOCOL_V2
-            self._peer_codecs = tuple(response.value.get("codecs", ()))
-
-    def _compress_threshold(self) -> int | None:
-        """The effective threshold: only codecs the peer declared count."""
-        if self._wire.compress_threshold is None:
-            return None
-        if self._wire.compress_codec not in self._peer_codecs:
-            return None
-        return self._wire.compress_threshold
 
     # -- calling -----------------------------------------------------------------------
     def request(
@@ -579,38 +486,28 @@ class _Connection:
     def _send_request(
         self, request: Request, *, no_batch: bool, in_flight: int
     ) -> None:
-        if self.protocol >= PROTOCOL_V2:
-            head, buffers = encode_message_v2(
-                request, oob_threshold=self._wire.oob_threshold
+        head, buffers = encode_message(request, oob_threshold=self._wire.oob_threshold)
+        if (
+            self._batching
+            and not no_batch
+            and not buffers
+            and len(head) < self._batch_cutoff
+            and in_flight > 1
+        ):
+            # Another call is already in flight, so the channel's
+            # latency is bounded by it anyway: queue this head for
+            # the flusher and let it coalesce with its neighbours.
+            with self._batch_cond:
+                self._batch_queue.append((request.msg_id, head))
+                self._batch_cond.notify()
+            return
+        self._sendmsg(
+            encode_frame_v2(
+                [head, *buffers],
+                max_frame=self._max_frame,
+                compress_threshold=self._wire.compress_threshold,
             )
-            if (
-                self._batching
-                and not no_batch
-                and not buffers
-                and len(head) < self._wire.batch_threshold
-                and in_flight > 1
-            ):
-                # Another call is already in flight, so the channel's
-                # latency is bounded by it anyway: queue this head for
-                # the flusher and let it coalesce with its neighbours.
-                with self._batch_cond:
-                    self._batch_queue.append((request.msg_id, head))
-                    self._batch_cond.notify()
-                return
-            self._sendmsg(
-                encode_frame_v2(
-                    [head, *buffers],
-                    max_frame=self._max_frame,
-                    compress_threshold=self._compress_threshold(),
-                    codec=self._wire.compress_codec,
-                )
-            )
-        else:
-            wire = encode_frame(
-                encode_message(request), max_frame=self._max_frame
-            )
-            with self._send_lock:
-                self._sock.sendall(wire)
+        )
 
     def _sendmsg(self, parts: list) -> None:
         """Scatter-gather send: the bulk buffers go to the kernel as-is."""
@@ -638,11 +535,9 @@ class _Connection:
         depth therefore adapts to the number of concurrent callers
         without a tuned timer.  ``_GROUP_COMMIT_CAP`` bounds the wait so
         a response lost to a timeout degrades the discipline to windowed
-        batching instead of stalling the channel; a positive
-        ``batch_window`` additionally waits for company when exactly one
-        request is queued.
+        batching instead of stalling the channel.
         """
-        wire_cfg = self._wire
+        byte_cap = _batch_byte_cap(self._max_frame)
         while True:
             with self._batch_cond:
                 while not self._batch_queue and not self._dead:
@@ -653,7 +548,7 @@ class _Connection:
                 while (
                     self._batched_in_flight > 0
                     and not self._dead
-                    and len(self._batch_queue) < wire_cfg.batch_max_ops
+                    and len(self._batch_queue) < BATCH_MAX_OPS
                 ):
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -666,15 +561,11 @@ class _Connection:
                     self._batch_cond.wait(remaining)
                 if self._dead:
                     return
-                if wire_cfg.batch_window > 0 and len(self._batch_queue) == 1:
-                    self._batch_cond.wait(wire_cfg.batch_window)
-                    if self._dead:
-                        return
                 batch: list[bytes] = []
                 size = 0
-                while self._batch_queue and len(batch) < wire_cfg.batch_max_ops:
+                while self._batch_queue and len(batch) < BATCH_MAX_OPS:
                     msg_id, head = self._batch_queue[0]
-                    if batch and size + len(head) > wire_cfg.batch_max_bytes:
+                    if batch and size + len(head) > byte_cap:
                         break
                     self._batch_queue.popleft()
                     self._batched_ids.add(msg_id)
@@ -704,53 +595,27 @@ class _Connection:
                 frame = recv_frame(self._sock, max_frame=self._max_frame)
                 if frame is None:
                     raise ConnectionError("peer closed the connection")
-                if frame.version == PROTOCOL_V2 and frame.is_batch:
-                    self._deliver_batch(
-                        [decode_message(segment) for segment in frame.segments]
-                    )
-                elif frame.version == PROTOCOL_V2:
-                    self._deliver(
-                        decode_message_v2(
-                            frame.segments[0], list(frame.segments[1:])
-                        )
-                    )
+                if frame.is_batch:
+                    messages = [decode_message(s) for s in frame.segments]
                 else:
-                    self._deliver(decode_message(frame.payload))
+                    messages = [decode_message(frame.segments[0], frame.segments[1:])]
+                self._deliver(messages)
         except Exception as exc:
             self._fail_all(PeerUnavailableError(self._peer, repr(exc)))
 
-    def _deliver(self, message: Request | Response) -> None:
-        if not isinstance(message, Response):
-            raise MessageDecodeError("server sent a non-response message")
-        with self._pending_lock:
-            pending = self._pending.pop(message.msg_id, None)
-        if pending is not None:  # late reply after timeout: drop
-            pending.response = message
-            pending.event.set()
-        if self._flusher is not None:
-            with self._batch_cond:
-                if message.msg_id in self._batched_ids:
-                    self._batched_ids.discard(message.msg_id)
-                    self._batched_in_flight -= 1
-                    if self._batched_in_flight == 0:
-                        # Last response of the batch: clock the next flush.
-                        self._batch_cond.notify()
+    def _deliver(self, messages: list[Request | Response]) -> None:
+        """Deliver one response frame's messages (several for a batch).
 
-    def _deliver_batch(self, messages: list[Request | Response]) -> None:
-        """Deliver a coalesced response frame's messages in one pass.
-
-        The batched-in-flight bookkeeping is settled under a single
-        lock acquisition for the whole frame (rather than per message)
-        and the flusher is woken once, after every caller's event is
-        set — so it never races the wakeups it is about to clock on.
+        Callers are resolved under a single lock acquisition for the
+        whole frame, and the batched-in-flight bookkeeping is settled
+        only after every caller's event is set — so the flusher never
+        races the wakeups it is about to clock on.
         """
         resolved: list[tuple[_PendingCall, Response]] = []
         with self._pending_lock:
             for message in messages:
                 if not isinstance(message, Response):
-                    raise MessageDecodeError(
-                        "server sent a non-response message"
-                    )
+                    raise MessageDecodeError("server sent a non-response message")
                 pending = self._pending.pop(message.msg_id, None)
                 if pending is not None:  # late reply after timeout: drop
                     resolved.append((pending, message))
@@ -763,8 +628,9 @@ class _Connection:
                     if message.msg_id in self._batched_ids:
                         self._batched_ids.discard(message.msg_id)
                         self._batched_in_flight -= 1
-                if self._batched_in_flight == 0:
-                    self._batch_cond.notify()
+                        if self._batched_in_flight == 0:
+                            # Last response of the batch: clock the next flush.
+                            self._batch_cond.notify()
 
     def _fail_all(self, error: Exception) -> None:
         with self._pending_lock:
@@ -800,7 +666,6 @@ class TcpTransport(Transport):
         pool_size: int = 2,
         max_frame: int = DEFAULT_MAX_FRAME,
         wire: WireConfig | None = None,
-        protocol: int | None = None,
         batching: bool = False,
     ) -> None:
         if pool_size < 1:
@@ -816,8 +681,7 @@ class TcpTransport(Transport):
         self._port = port
         self._pool_size = pool_size
         self._max_frame = max_frame
-        self._wire = wire if wire is not None else WireConfig.from_env()
-        self._protocol = protocol if protocol is not None else self._wire.protocol
+        self._wire = wire if wire is not None else WireConfig()
         self._batching = batching
         self._pool_lock = threading.Lock()
         self._pool: list[_Connection] = []
@@ -825,12 +689,6 @@ class TcpTransport(Transport):
         self.batches_sent = 0
         #: Requests that travelled inside batch frames (monitoring/tests).
         self.requests_batched = 0
-
-    @property
-    def negotiated_protocols(self) -> list[int]:
-        """Per-pooled-connection protocol versions (monitoring/tests)."""
-        with self._pool_lock:
-            return [connection.protocol for connection in self._pool]
 
     def _checkout(self) -> _Connection:
         """Pick the least-loaded live connection, dialling up to the cap."""
@@ -849,7 +707,6 @@ class TcpTransport(Transport):
                 peer=self.peer,
                 max_frame=self._max_frame,
                 wire=self._wire,
-                want_protocol=self._protocol,
                 batching=self._batching,
                 owner=self,
             )

@@ -1,12 +1,11 @@
-"""Protocol v2 end-to-end: negotiation, batching, compression, identity.
+"""The wire path end-to-end: out-of-band bulk, batching, compression, identity.
 
-The v2 wire path must be invisible to everything above the transport:
-whatever mix of protocol versions two peers negotiate, the filesystems
-and the metadata plane read back exactly the bytes they wrote.  These
-tests cover the interop matrix over real sockets, the out-of-band
-threshold, small-op batching semantics, and cross-backend differential
-byte-identity over both protocols — including mid-read replica failover
-and wire faults, where the degraded path must stay byte-identical too.
+The wire path must be invisible to everything above the transport: the
+filesystems and the metadata plane read back exactly the bytes they
+wrote.  These tests cover bulk round-trips over real sockets, the
+out-of-band threshold, small-op batching semantics, and cross-backend
+differential byte-identity — including mid-read replica failover and
+wire faults, where the degraded path must stay byte-identical too.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from repro.hdfs import HDFS, DataNode
 from repro.net import (
     NetworkFaultPlan,
     NodeServer,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
+    RemoteCallError,
     RetryPolicy,
     RpcServer,
     ServiceRegistry,
@@ -33,16 +31,33 @@ from repro.net import (
     connect_datanode,
     connect_metadata,
     connect_provider,
-    loopback_datanode_stub,
-    loopback_metadata_stub,
-    loopback_provider_stub,
 )
 from repro.net.cluster import ClusterConfig
-from repro.net.messages import Request, encode_message_v2
+from repro.net.messages import Request, encode_message
+from repro.net.stubs import (
+    DATANODE_SERVICE,
+    METADATA_SERVICE,
+    PROVIDER_SERVICE,
+    RemoteDataNode,
+    RemoteDataProvider,
+    RemoteMetadataProvider,
+)
 from repro.net.transport import LoopbackTransport
 
 BLOCK = 16 * KB
-BOTH_PROTOCOLS = pytest.mark.parametrize("protocol", [PROTOCOL_V1, PROTOCOL_V2])
+
+#: The codec paths a payload can take: bulk exported out-of-band (the
+#: default), everything kept inside the pickle stream, and zlib-compressed
+#: segments.  The bytes read back must not depend on the path.
+WIRE_PATHS = pytest.mark.parametrize(
+    "wire",
+    [
+        WireConfig(),
+        WireConfig(oob_threshold=1 << 30),
+        WireConfig(compress_threshold=KB),
+    ],
+    ids=["out-of-band", "in-band", "compressed"],
+)
 
 
 class EchoService:
@@ -59,131 +74,90 @@ def echo_registry() -> ServiceRegistry:
     return registry
 
 
+#: Service name and stub class per backend type, as the
+#: ``repro.net.loopback_*_stub`` helpers wire them.
+STUB_KINDS = {
+    DataProvider: (PROVIDER_SERVICE, RemoteDataProvider),
+    DataNode: (DATANODE_SERVICE, RemoteDataNode),
+    MetadataProvider: (METADATA_SERVICE, RemoteMetadataProvider),
+}
+
+
+def wired_stub(backend, *, wire, faults, retry=None):
+    """A ``loopback_*_stub`` for ``backend`` whose transport uses ``wire``."""
+    service, stub_class = STUB_KINDS[type(backend)]
+    registry = ServiceRegistry()
+    registry.register(service, backend)
+    peer = getattr(backend, "host", None) or f"metadata-{backend.provider_id}"
+    transport = LoopbackTransport(
+        registry, peer=peer, faults=faults, retry=retry, wire=wire
+    )
+    return stub_class.connect(transport)
+
+
 @pytest.fixture
 def faults():
     return NetworkFaultPlan(sleep=lambda _s: None)
 
 
 class TestWireConfig:
-    def test_env_selects_protocol(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "1")
-        assert WireConfig.from_env().protocol == PROTOCOL_V1
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "2")
-        assert WireConfig.from_env().protocol == PROTOCOL_V2
-        monkeypatch.delenv("REPRO_WIRE_PROTOCOL")
-        assert WireConfig.from_env().protocol == PROTOCOL_V2
-
-    def test_explicit_protocol_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "1")
-        assert WireConfig.from_env(protocol=PROTOCOL_V2).protocol == PROTOCOL_V2
-
-    def test_invalid_values_rejected(self, monkeypatch):
+    def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
-            WireConfig(protocol=3)
-        with pytest.raises(ValueError):
-            WireConfig(batch_window=-0.1)
+            WireConfig(oob_threshold=0)
         with pytest.raises(ValueError):
             WireConfig(compress_threshold=0)
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "two")
-        with pytest.raises(ValueError):
-            WireConfig.from_env()
 
 
 class TestOutOfBandThreshold:
     def test_small_payloads_stay_in_band(self):
         request = Request(1, "s", "m", (b"x" * 100,), {})
-        head, buffers = encode_message_v2(request, oob_threshold=KB)
+        head, buffers = encode_message(request, oob_threshold=KB)
         assert buffers == []
         assert b"x" * 100 in head
 
     def test_large_payloads_leave_the_pickle_stream(self):
         bulk = b"y" * (64 * KB)
         request = Request(1, "s", "m", (bulk,), {"page": b"z" * (32 * KB)})
-        head, buffers = encode_message_v2(request, oob_threshold=KB)
+        head, buffers = encode_message(request, oob_threshold=KB)
         assert len(buffers) == 2
         assert len(head) < KB  # the head holds structure, not payload
         assert sorted(len(memoryview(b)) for b in buffers) == [32 * KB, 64 * KB]
 
     def test_memoryview_arguments_always_travel_out_of_band(self):
         view = memoryview(b"view-payload")
-        head, buffers = encode_message_v2(
+        head, buffers = encode_message(
             Request(1, "s", "m", (view,), {}), oob_threshold=KB
         )
         assert len(buffers) == 1  # even below threshold: v1 can't pickle views
 
     def test_nested_containers_are_walked(self):
         bulk = b"n" * (64 * KB)
-        head, buffers = encode_message_v2(
+        head, buffers = encode_message(
             Request(1, "s", "m", ([{"chunk": bulk}],), {}), oob_threshold=KB
         )
         assert len(buffers) == 1
 
 
-class TestNegotiationMatrix:
-    @pytest.mark.parametrize("server_protocol", [PROTOCOL_V1, PROTOCOL_V2])
-    @pytest.mark.parametrize("client_protocol", [PROTOCOL_V1, PROTOCOL_V2])
-    def test_every_pairing_round_trips_bulk_bytes(
-        self, server_protocol, client_protocol
-    ):
-        # The connection settles on min(client, server) and the payload
-        # is byte-identical either way; no pairing produces a single
-        # protocol error.
+class TestTcpRoundTrip:
+    def test_bulk_bytes_round_trip_without_protocol_errors(self):
         payload = bytes(range(256)) * (8 * KB)  # 2 MiB
-        with RpcServer(echo_registry(), protocol=server_protocol) as server:
+        with RpcServer(echo_registry()) as server:
             host, port = server.address
-            transport = TcpTransport(host, port, protocol=client_protocol)
+            transport = TcpTransport(host, port)
             try:
                 assert transport.call("echo", "echo", payload) == payload
                 assert transport.call("echo", "pair", 1, b"two") == (1, b"two")
-                expected = min(server_protocol, client_protocol)
-                assert transport.negotiated_protocols == [expected]
             finally:
                 transport.close()
             assert server.protocol_errors == 0
 
-    def test_v2_client_downgrades_without_breaking_the_connection(self):
-        # The probe travels as a v1 frame, so the v1 server answers it
-        # as an ordinary unknown-service call on the *same* connection
-        # the client then keeps using.
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V1) as server:
-            host, port = server.address
-            transport = TcpTransport(host, port, protocol=PROTOCOL_V2)
-            try:
-                for i in range(10):
-                    assert transport.call("echo", "echo", i) == i
-                assert transport.negotiated_protocols == [PROTOCOL_V1]
-            finally:
-                transport.close()
-
-    def test_each_pooled_connection_negotiates(self):
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V2) as server:
-            host, port = server.address
-            transport = TcpTransport(host, port, protocol=PROTOCOL_V2, pool_size=2)
-            try:
-                barrier = threading.Barrier(4)
-
-                def call():
-                    barrier.wait()
-                    transport.call("echo", "echo", "x")
-
-                threads = [threading.Thread(target=call) for _ in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                assert all(
-                    p == PROTOCOL_V2 for p in transport.negotiated_protocols
-                )
-            finally:
-                transport.close()
-
 
 class TestBatching:
     def test_concurrent_small_ops_coalesce_and_stay_correct(self):
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V2) as server:
+        with RpcServer(echo_registry()) as server:
             host, port = server.address
             transport = TcpTransport(
-                host, port, protocol=PROTOCOL_V2, batching=True, pool_size=1
+                host, port, batching=True, pool_size=1
             )
             try:
                 results: list = []
@@ -227,10 +201,10 @@ class TestBatching:
                 transport.close()
 
     def test_lone_caller_is_never_batched(self):
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V2) as server:
+        with RpcServer(echo_registry()) as server:
             host, port = server.address
             transport = TcpTransport(
-                host, port, protocol=PROTOCOL_V2, batching=True, pool_size=1
+                host, port, batching=True, pool_size=1
             )
             try:
                 for i in range(20):
@@ -242,10 +216,10 @@ class TestBatching:
                 transport.close()
 
     def test_no_batch_calls_bypass_the_queue(self):
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V2) as server:
+        with RpcServer(echo_registry()) as server:
             host, port = server.address
             transport = TcpTransport(
-                host, port, protocol=PROTOCOL_V2, batching=True, pool_size=1
+                host, port, batching=True, pool_size=1
             )
             try:
                 hold = threading.Event()
@@ -279,10 +253,10 @@ class TestBatching:
 
         registry = ServiceRegistry()
         registry.register("mixed", Mixed())
-        with RpcServer(registry, protocol=PROTOCOL_V2) as server:
+        with RpcServer(registry) as server:
             host, port = server.address
             transport = TcpTransport(
-                host, port, protocol=PROTOCOL_V2, batching=True, pool_size=1
+                host, port, batching=True, pool_size=1
             )
             try:
                 results: dict[int, bytes] = {}
@@ -306,6 +280,122 @@ class TestBatching:
                 transport.close()
 
 
+    def test_oversize_response_in_a_batch_fails_only_its_caller(self):
+        # A response over the server's frame limit inside a batch must
+        # come back as a RemoteCallError for its own caller; the small
+        # responses batched with it must still be delivered.
+        entered, release = threading.Event(), threading.Event()
+
+        class Service:
+            def slow(self):
+                entered.set()
+                release.wait(10.0)
+                return "slow"
+
+            def small(self, i):
+                return i
+
+            def big(self):
+                return b"B" * 100_000
+
+        registry = ServiceRegistry()
+        registry.register("svc", Service())
+        with RpcServer(registry, max_frame=64 * KB) as server:
+            host, port = server.address
+            transport = TcpTransport(
+                host,
+                port,
+                batching=True,
+                pool_size=1,
+                timeout=5.0,
+                retry=RetryPolicy.no_retry(),
+            )
+            outcomes: dict = {}
+
+            def call(key, method, *args):
+                try:
+                    outcomes[key] = transport.call("svc", method, *args)
+                except Exception as exc:  # surfaced by the asserts below
+                    outcomes[key] = exc
+
+            try:
+                slow = threading.Thread(target=call, args=("slow", "slow"))
+                slow.start()
+                assert entered.wait(5.0)
+                # With the slow call in flight, these queue for batching.
+                threads = [
+                    threading.Thread(target=call, args=(i, "small", i))
+                    for i in range(6)
+                ]
+                threads.append(threading.Thread(target=call, args=("big", "big")))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                release.set()
+                slow.join()
+            finally:
+                release.set()
+                transport.close()
+        assert transport.requests_batched > 0
+        assert isinstance(outcomes["big"], RemoteCallError)
+        assert "frame limit" in str(outcomes["big"])
+        assert [outcomes[i] for i in range(6)] == list(range(6))
+        assert outcomes["slow"] == "slow"
+
+
+    @pytest.mark.parametrize(
+        "max_frame, fat", [(16 * KB, 1500), (2 * KB, 1750)], ids=["16k", "2k"]
+    )
+    def test_batch_frames_fit_a_small_frame_limit(self, max_frame, fat):
+        # Batch frames are bounded by max_frame on both sides: requests
+        # whose heads sum past the limit, and small requests whose
+        # responses do, split into several batch frames instead of
+        # failing the flusher or the connection.  Under the 2 KiB limit
+        # a single fat head (still below BATCH_THRESHOLD) outgrows a
+        # batch's byte budget and must leave in a frame of its own.
+        class Pad:
+            def pad(self, data, n):
+                return b"r" * n
+
+        registry = ServiceRegistry()
+        registry.register("pad", Pad())
+        with RpcServer(registry, max_frame=max_frame) as server:
+            host, port = server.address
+            transport = TcpTransport(
+                host,
+                port,
+                max_frame=max_frame,
+                batching=True,
+                pool_size=1,
+                retry=RetryPolicy.no_retry(),
+            )
+            errors: list[BaseException] = []
+
+            def worker(worker_id):
+                # Even workers send fat requests, odd ones ask for fat
+                # responses; every message stays under the batch cutoff.
+                data, n = (b"q" * fat, 8) if worker_id % 2 else (b"", fat)
+                try:
+                    for _ in range(10):
+                        assert transport.call("pad", "pad", data, n) == b"r" * n
+                except BaseException as exc:  # surfaced after join
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(32)]
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+            finally:
+                transport.close()
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert transport.requests_batched > 0
+            assert server.protocol_errors == 0
+
+
 class TestCompression:
     def test_compressed_connection_is_byte_identical(self):
         wire = WireConfig(compress_threshold=KB)
@@ -320,42 +410,27 @@ class TestCompression:
             finally:
                 transport.close()
 
-    def test_compression_only_applies_when_peer_advertises_codec(self):
-        # A v1 peer never negotiated codecs, so the client must not send
-        # compressed segments at it — it stays on plain v1 frames.
-        wire = WireConfig(compress_threshold=KB)
-        with RpcServer(echo_registry(), protocol=PROTOCOL_V1) as server:
-            host, port = server.address
-            transport = TcpTransport(host, port, wire=wire)
-            try:
-                payload = b"c" * (256 * KB)
-                assert transport.call("echo", "echo", payload) == payload
-                assert transport.negotiated_protocols == [PROTOCOL_V1]
-            finally:
-                transport.close()
-            assert server.protocol_errors == 0
-
 
 class TestLoopbackProtocols:
-    @BOTH_PROTOCOLS
-    def test_loopback_round_trips_bulk_on_both_protocols(self, protocol):
-        transport = LoopbackTransport(echo_registry(), protocol=protocol)
+    @WIRE_PATHS
+    def test_loopback_round_trips_bulk(self, wire):
+        transport = LoopbackTransport(echo_registry(), wire=wire)
         payload = bytes(range(256)) * (4 * KB)
         assert transport.call("echo", "echo", payload) == payload
         assert transport.call("echo", "pair", "a", 1) == ("a", 1)
 
     def test_loopback_reuses_one_decoder_across_calls(self):
-        # The per-call throwaway decoder is gone: the same decoder
-        # instance drains every frame of the transport's lifetime.
+        # No per-call throwaway decoder: the same parser instance drains
+        # every frame of the transport's lifetime.
         transport = LoopbackTransport(echo_registry())
-        decoder = transport._decoder
+        decoder = transport._parser
         for i in range(5):
             transport.call("echo", "echo", i)
-        assert transport._decoder is decoder
+        assert transport._parser is decoder
         assert decoder.frames_decoded == 10  # request + response per call
 
 
-def make_blobseer(faults, *, replication=2):
+def make_blobseer(faults, *, wire, replication=2):
     config = BlobSeerConfig(
         page_size=4 * KB,
         num_providers=4,
@@ -368,42 +443,39 @@ def make_blobseer(faults, *, replication=2):
         for i in range(config.num_providers)
     ]
     stubs = [
-        loopback_provider_stub(p, faults=faults, retry=RetryPolicy.no_retry())
+        wired_stub(p, wire=wire, faults=faults, retry=RetryPolicy.no_retry())
         for p in backends
     ]
     return BlobSeer(config, providers=stubs)
 
 
 class TestDifferentialByteIdentity:
-    """The same workload over v1 and v2 stubs must yield the same bytes."""
+    """The same workload over loopback stubs must yield the same bytes."""
 
-    @BOTH_PROTOCOLS
-    def test_bsfs_write_read_identical(self, faults, protocol, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", str(protocol))
-        fs = BSFS(blobseer=make_blobseer(faults), default_block_size=BLOCK)
+    @WIRE_PATHS
+    def test_bsfs_write_read_identical(self, faults, wire):
+        fs = BSFS(blobseer=make_blobseer(faults, wire=wire), default_block_size=BLOCK)
         payload = bytes(range(256)) * 128  # 32 KiB, multi-page
         fs.write_file("/wire.bin", payload)
         assert fs.read_file("/wire.bin") == payload
 
-    @BOTH_PROTOCOLS
-    def test_bsfs_read_failover_identical(self, faults, protocol, monkeypatch):
+    @WIRE_PATHS
+    def test_bsfs_read_failover_identical(self, faults, wire):
         # Mid-read replica failover: kill a node after the write; the
         # degraded read must still return the exact original bytes.
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", str(protocol))
-        fs = BSFS(blobseer=make_blobseer(faults), default_block_size=BLOCK)
+        fs = BSFS(blobseer=make_blobseer(faults, wire=wire), default_block_size=BLOCK)
         payload = b"f" * (2 * BLOCK)
         fs.write_file("/failover.bin", payload)
         faults.kill("node-1")
         assert fs.read_file("/failover.bin") == payload
 
-    @BOTH_PROTOCOLS
-    def test_hdfs_failover_identical(self, faults, protocol, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", str(protocol))
+    @WIRE_PATHS
+    def test_hdfs_failover_identical(self, faults, wire):
         backends = [
             DataNode(i, host=f"node-{i}", rack=f"rack-{i % 3}") for i in range(4)
         ]
         stubs = [
-            loopback_datanode_stub(d, faults=faults, retry=RetryPolicy.no_retry())
+            wired_stub(d, wire=wire, faults=faults, retry=RetryPolicy.no_retry())
             for d in backends
         ]
         fs = HDFS(datanodes=stubs, default_block_size=BLOCK, default_replication=2)
@@ -414,13 +486,12 @@ class TestDifferentialByteIdentity:
         faults.kill(victim.host)
         assert fs.read_file("/wire.bin") == payload
 
-    @BOTH_PROTOCOLS
-    def test_wire_faults_identical(self, faults, protocol, monkeypatch):
+    @WIRE_PATHS
+    def test_wire_faults_identical(self, faults, wire):
         # Dropped messages burn the transport retry, not the data: the
-        # payload survives lossy delivery identically on both protocols.
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", str(protocol))
+        # payload survives lossy delivery identically.
         backend = DataProvider(0, host="node-0")
-        stub = loopback_provider_stub(backend, faults=faults)
+        stub = wired_stub(backend, wire=wire, faults=faults)
         from repro.core.pages import PageKey
 
         payload = bytes(range(256)) * (2 * KB)
@@ -429,12 +500,11 @@ class TestDifferentialByteIdentity:
         faults.drop(src="node-0", dst="client", count=1)
         assert stub.get_page(PageKey(1, 1, 0)) == payload
 
-    @BOTH_PROTOCOLS
-    def test_metadata_dht_matches_in_process(self, faults, protocol, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", str(protocol))
+    @WIRE_PATHS
+    def test_metadata_dht_matches_in_process(self, faults, wire):
         backends = [MetadataProvider(i) for i in range(3)]
         stubs = [
-            loopback_metadata_stub(p, faults=faults, retry=RetryPolicy.no_retry())
+            wired_stub(p, wire=wire, faults=faults, retry=RetryPolicy.no_retry())
             for p in backends
         ]
         local_backends = [MetadataProvider(i) for i in range(3)]
@@ -448,12 +518,12 @@ class TestDifferentialByteIdentity:
 
 
 class TestTcpDifferential:
-    @pytest.mark.parametrize("server_protocol", [PROTOCOL_V1, PROTOCOL_V2])
-    def test_hdfs_over_tcp_identical_on_both_server_protocols(
-        self, server_protocol
-    ):
+    @pytest.mark.parametrize(
+        "compress_threshold", [None, KB], ids=["uncompressed", "compressed"]
+    )
+    def test_hdfs_over_tcp_identical(self, compress_threshold):
         config = ClusterConfig(
-            wire_protocol=server_protocol, metadata_batching=False
+            metadata_batching=False, compress_threshold=compress_threshold
         )
         backends = [DataNode(i, host=f"node-{i}", rack="r0") for i in range(3)]
         servers = [
@@ -464,8 +534,7 @@ class TestTcpDifferential:
         try:
             for server in servers:
                 host, port = server.start()
-                # The client always prefers v2; negotiation settles it.
-                stubs.append(connect_datanode(host, port))
+                stubs.append(connect_datanode(host, port, config=config))
             fs = HDFS(
                 datanodes=stubs, default_block_size=BLOCK, default_replication=2
             )
@@ -485,9 +554,7 @@ class TestTcpDifferential:
         server = NodeServer(provider, host="127.0.0.1", port=0)
         host, port = server.start()
         try:
-            stub = connect_provider(
-                host, port, config=ClusterConfig(wire_protocol=PROTOCOL_V2)
-            )
+            stub = connect_provider(host, port)
             payload = bytes(range(256)) * (4 * KB)  # 1 MiB page
             stub.put_page(PageKey(9, 1, 0), payload)
             assert stub.get_page(PageKey(9, 1, 0)) == payload
@@ -497,9 +564,7 @@ class TestTcpDifferential:
             server.stop()
 
     def test_metadata_stub_with_batching_over_tcp(self):
-        # Pin v2 explicitly so the test holds even when the suite runs
-        # under REPRO_WIRE_PROTOCOL=1.
-        config = ClusterConfig(wire_protocol=PROTOCOL_V2)
+        config = ClusterConfig()
         backend = MetadataProvider(2)
         server = NodeServer(backend, host="127.0.0.1", port=0, config=config)
         host, port = server.start()
